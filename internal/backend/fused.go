@@ -203,24 +203,6 @@ func (f *Fused[T]) traceWeightBandSparse(cij, w, act *tensor.Dense[T], idx [][]i
 	}
 }
 
-// homeostasisStep is the floored-bias gain update of the composed trainer
-// (core's homeostasis, DESIGN.md §3), precision-generic so the fused step
-// reproduces it in-pass: starved units (cj below PMinFraction/M) have their
-// gain driven toward the fair-share bias level, healthy units relax to 1.
-func homeostasisStep[T tensor.Float](kbi, cj []T, m int, taubdt, pminFraction, eps float64) {
-	fair := logT(1 / T(m))
-	pmin := T(pminFraction) / T(m)
-	tb := T(taubdt)
-	epsT := T(eps)
-	for j, v := range cj {
-		target := T(1)
-		if v < pmin {
-			target = fair / logT(max(v, epsT))
-		}
-		kbi[j] = (1-tb)*kbi[j] + tb*target
-	}
-}
-
 // traceWeightBand updates Cij rows [lo,hi) and re-derives the matching W
 // rows, in row blocks sized so one block of each matrix fits in L2 together:
 // the freshly decayed-and-accumulated trace rows are consumed by the log-odds

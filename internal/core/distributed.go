@@ -172,10 +172,9 @@ func TrainRank(c *mpi.Comm, n *Network, shard *data.Encoded,
 		// instead of deadlocking.
 		for b := 0; b < nBatches; b++ {
 			if b < len(batches) {
-				// TrainBatch dispatches fused on LayerStepper backends
-				// (DESIGN.md §14), so distributed training inherits the
-				// whole-layer offload per local batch. Only the
-				// post-allreduce refresh below must stay composed: it
+				// TrainBatch is one LayerStep (DESIGN.md §14), so
+				// distributed training inherits the whole-layer offload
+				// per local batch. The post-allreduce refresh below
 				// re-derives parameters from the merged traces without
 				// advancing them, which is exactly what refreshParameters
 				// (and not a LayerStep) computes.

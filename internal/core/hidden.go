@@ -19,15 +19,13 @@ type HiddenLayer struct {
 
 	// be32 is the float32 kernel set, non-nil only when Params.Precision
 	// selects the reduced-precision compute path (DESIGN.md §9). Forward
-	// passes then run at half width while every trace below stays float64.
+	// passes then run at half width; training and every trace below stay
+	// float64.
 	be32 backend.Backend32
 
-	// step is the whole-layer offload capability (DESIGN.md §14), non-nil
-	// when the backend implements backend.LayerStepper[float64]. TrainBatch
-	// then ships the complete batch update as one fused call instead of the
-	// composed kernel sequence. Traces are float64, so dispatch is float64-
-	// only: on the float32 path a fused step trains at full width in-pass and
-	// the lazy sync32 rebuild covers prediction.
+	// step runs the whole unsupervised batch update (DESIGN.md §14): the
+	// backend itself when it offloads whole layers, otherwise the composed
+	// kernel sequence over be (backend.StepperOf).
 	step backend.LayerStepper[float64]
 
 	// Input geometry: Fi input hypercolumns of Mi units each.
@@ -59,15 +57,14 @@ type HiddenLayer struct {
 	Mask []bool
 	K    int
 
-	// sparse selects the block-sparse compute regime (DESIGN.md §15):
-	// forward gathers, joint-trace updates and weight re-derivation walk the
-	// compressed block index instead of the dense buffers. Silent Cij blocks
-	// are then frozen (dense mode keeps decaying them), and silent W blocks
-	// hold exact zeros — an invariant re-established by the full masked
-	// refreshParameters run on every mask change.
+	// sparse selects the block-sparse training regime (DESIGN.md §15): the
+	// joint-trace update and weight re-derivation walk the block index
+	// instead of the dense buffers, so silent Cij blocks are frozen (dense
+	// mode keeps decaying them).
 	sparse bool
-	// blocks is the compressed block index over Mask, rebuilt lazily by
-	// Blocks(); nil means stale (every mask mutation resets it).
+	// blocks is the compressed block index over Mask, rebuilt by every
+	// refreshParameters. Silent W blocks hold exact zeros in both regimes,
+	// so the forward pass always gathers through it.
 	blocks *tensor.BlockIndex
 
 	// lastSwaps records the most recent structural update for observers.
@@ -84,8 +81,7 @@ type HiddenLayer struct {
 	// scratch reused across batches to keep the hot loop allocation-free.
 	pool     *tensor.Pool
 	pool32   *tensor.PoolOf[float32]
-	meanAct  []float64
-	noiseBuf []float64 // pre-drawn support noise for the fused step
+	noiseBuf []float64 // pre-drawn support noise for the step
 }
 
 // NewHiddenLayer builds a hidden layer for inputs of fi hypercolumns × mi
@@ -101,22 +97,18 @@ func NewHiddenLayer(be backend.Backend, fi, mi int, p Params, rng *rand.Rand) *H
 	in, units := fi*mi, h*m
 	l := &HiddenLayer{
 		be: be, Fi: fi, Mi: mi, H: h, M: m,
-		W:       tensor.NewMatrix(in, units),
-		Bias:    make([]float64, units),
-		Kbi:     make([]float64, units),
-		Ci:      make([]float64, in),
-		Cj:      make([]float64, units),
-		Cij:     tensor.NewMatrix(in, units),
-		p:       p,
-		rng:     rng,
-		sparse:  p.SparseCompute,
-		pool:    tensor.NewPool(),
-		meanAct: make([]float64, units),
+		W:      tensor.NewMatrix(in, units),
+		Bias:   make([]float64, units),
+		Kbi:    make([]float64, units),
+		Ci:     make([]float64, in),
+		Cj:     make([]float64, units),
+		Cij:    tensor.NewMatrix(in, units),
+		p:      p,
+		rng:    rng,
+		sparse: p.SparseCompute,
+		pool:   tensor.NewPool(),
+		step:   backend.StepperOf(be),
 	}
-	// Whole-layer offload is a capability, not a registry entry: any backend
-	// that implements LayerStepper (fused, gpusim, fpgasim) gets the fused
-	// training dispatch; everything else keeps the composed kernel sequence.
-	l.step, _ = be.(backend.LayerStepper[float64])
 	if p.Precision.Is32() {
 		// A backend that models shared device state (gpusim) hands out its
 		// own float32 companion so both precisions account against one
@@ -232,18 +224,8 @@ func (l *HiddenLayer) initMask() {
 func (l *HiddenLayer) SparseCompute() bool { return l.sparse }
 
 // Blocks returns the compressed block index over the current receptive-field
-// mask, rebuilding it if a mask mutation invalidated the cached one. The
-// rebuild is O(Fi·H) — cheap next to a batch — and happens only on swap, so
-// steady-state training reuses one index.
-func (l *HiddenLayer) Blocks() *tensor.BlockIndex {
-	if l.blocks == nil {
-		l.blocks = tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)
-	}
-	return l.blocks
-}
-
-// invalidateBlocks drops the cached block index after a mask mutation.
-func (l *HiddenLayer) invalidateBlocks() { l.blocks = nil }
+// mask.
+func (l *HiddenLayer) Blocks() *tensor.BlockIndex { return l.blocks }
 
 // Units returns the total number of hidden units (H·M).
 func (l *HiddenLayer) Units() int { return l.H * l.M }
@@ -251,23 +233,20 @@ func (l *HiddenLayer) Units() int { return l.H * l.M }
 // Inputs returns the total number of input units (Fi·Mi).
 func (l *HiddenLayer) Inputs() int { return l.Fi * l.Mi }
 
-// refreshParameters recomputes W and Bias from the traces. On the composed
-// training path it runs after every trace update; on the fused path
-// (DESIGN.md §14) LayerStep produces W and Bias in-pass and this is needed
-// only where parameters must be re-derived without advancing the traces —
-// construction, trace re-seeding, and mask changes (structural plasticity).
-// On the float32 path the down-cast images go stale and are rebuilt lazily
-// by sync32.
+// refreshParameters recomputes W and Bias from the traces and rebuilds the
+// block index from the mask. LayerStep produces W and Bias in-pass, so this
+// is needed only where parameters must be re-derived without advancing the
+// traces — construction, trace re-seeding, merged distributed traces, and
+// mask changes (structural plasticity), which all funnel through here. The
+// masked refresh re-zeroes silent W blocks, and the eager rebuild (O(Fi·H),
+// cheap next to the refresh) keeps Forward read-only — the invariant
+// concurrent serving (Bundle.Predict) relies on. On the float32 path the
+// down-cast images go stale and are rebuilt lazily by sync32.
 func (l *HiddenLayer) refreshParameters() {
 	l.be.UpdateWeights(l.W, l.Ci, l.Cj, l.Cij, l.Mask, l.Fi, l.Mi, l.H, l.M, l.p.Eps)
 	l.be.UpdateBias(l.Bias, l.Kbi, l.Cj, l.p.Eps)
 	l.w32stale = true
-	if l.sparse && l.blocks == nil {
-		// Rebuild the block index eagerly: every mask mutation funnels through
-		// a masked refresh, so a warm index here keeps Forward read-only — the
-		// invariant concurrent serving (Bundle.Predict) relies on.
-		l.blocks = tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)
-	}
+	l.blocks = tensor.NewBlockIndex(l.Mask, l.Fi, l.Mi, l.H, l.M)
 }
 
 // Precision32 reports whether this layer runs forward passes on the float32
@@ -292,13 +271,10 @@ func (l *HiddenLayer) sync32() {
 
 // Forward computes the hidden activation of a one-hot batch into out
 // (batch × H·M): masked support plus bias, then per-HCU softmax. Forward is
-// deterministic; the training-only support noise lives in forwardNoisy.
+// deterministic; the training-only support noise is applied by TrainBatch.
 // On the float32 path the support, bias add and softmax run on the float32
 // kernel set and only the finished activations are up-cast.
 func (l *HiddenLayer) Forward(idx [][]int32, out *tensor.Matrix) {
-	if out.Rows != len(idx) || out.Cols != l.Units() {
-		panic("core: Forward output shape mismatch")
-	}
 	if l.be32 != nil {
 		act32 := l.pool32.Get(len(idx), l.Units())
 		l.Forward32(idx, act32)
@@ -306,13 +282,7 @@ func (l *HiddenLayer) Forward(idx [][]int32, out *tensor.Matrix) {
 		l.pool32.Put(act32)
 		return
 	}
-	if l.sparse {
-		l.be.OneHotMatMulSparse(out, idx, l.W, l.Blocks())
-	} else {
-		l.be.OneHotMatMul(out, idx, l.W)
-	}
-	l.be.AddBias(out, l.Bias)
-	l.be.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
+	forward(l, l.be, idx, out, l.W, l.Bias)
 }
 
 // Forward32 is the reduced-precision forward pass, writing float32
@@ -322,122 +292,53 @@ func (l *HiddenLayer) Forward32(idx [][]int32, out *tensor.Matrix32) {
 	if l.be32 == nil {
 		panic("core: Forward32 on a float64-precision layer")
 	}
-	if out.Rows != len(idx) || out.Cols != l.Units() {
-		panic("core: Forward32 output shape mismatch")
-	}
 	l.sync32()
-	if l.sparse {
-		l.be32.OneHotMatMulSparse(out, idx, l.w32, l.Blocks())
-	} else {
-		l.be32.OneHotMatMul(out, idx, l.w32)
-	}
-	l.be32.AddBias(out, l.bias32)
-	l.be32.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
+	forward(l, l.be32, idx, out, l.w32, l.bias32)
 }
 
-// forwardNoisy is Forward plus the annealed symmetry-breaking support noise.
-// The float32 path injects the noise at float32 before its softmax, keeping
-// the whole support computation at reduced precision.
-func (l *HiddenLayer) forwardNoisy(idx [][]int32, out *tensor.Matrix) {
+// forward is the forward pass at either precision: the support gathered over
+// the block index (silent W blocks are exact zeros, so skipping them is
+// bit-identical to the dense gather), bias, per-HCU softmax.
+func forward[T tensor.Float](l *HiddenLayer, k backend.Kernels[T], idx [][]int32,
+	out, w *tensor.Dense[T], bias []T) {
 	if out.Rows != len(idx) || out.Cols != l.Units() {
-		panic("core: forwardNoisy output shape mismatch")
+		panic("core: Forward output shape mismatch")
 	}
-	if l.be32 != nil {
-		act32 := l.pool32.Get(len(idx), l.Units())
-		l.sync32()
-		if l.sparse {
-			l.be32.OneHotMatMulSparse(act32, idx, l.w32, l.Blocks())
-		} else {
-			l.be32.OneHotMatMul(act32, idx, l.w32)
-		}
-		l.be32.AddBias(act32, l.bias32)
-		if l.noiseStd > 0 {
-			for i := range act32.Data {
-				act32.Data[i] += float32(l.noiseStd * l.rng.NormFloat64())
-			}
-		}
-		l.be32.SoftmaxGroups(act32, l.H, l.M, l.p.Temperature)
-		tensor.CastInto(out, act32)
-		l.pool32.Put(act32)
-		return
-	}
-	if l.sparse {
-		l.be.OneHotMatMulSparse(out, idx, l.W, l.Blocks())
-	} else {
-		l.be.OneHotMatMul(out, idx, l.W)
-	}
-	l.be.AddBias(out, l.Bias)
-	if l.noiseStd > 0 {
-		for i := range out.Data {
-			out.Data[i] += l.noiseStd * l.rng.NormFloat64()
-		}
-	}
-	l.be.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
+	k.OneHotMatMulSparse(out, idx, w, l.blocks)
+	k.AddBias(out, bias)
+	k.SoftmaxGroups(out, l.H, l.M, l.p.Temperature)
 }
 
 // SetNoise sets the support-noise standard deviation used by TrainBatch.
-func (l *HiddenLayer) SetNoise(std float64) { l.noiseStd = std }
+// Switching the noise off releases its batch-sized draw buffer, which a
+// trained model would otherwise carry into serving.
+func (l *HiddenLayer) SetNoise(std float64) {
+	l.noiseStd = std
+	if std == 0 {
+		l.noiseBuf = nil
+	}
+}
 
 // TrainBatch performs one unsupervised BCPNN step on a mini-batch:
 // noisy forward pass (see SetNoise), trace update, homeostasis, parameter
-// refresh. On a LayerStepper backend the whole step is one fused call
-// (DESIGN.md §14); otherwise it is the composed kernel sequence.
+// refresh — one LayerStep call on every backend (DESIGN.md §14).
 func (l *HiddenLayer) TrainBatch(idx [][]int32) {
 	act := l.pool.Get(len(idx), l.Units())
-	l.trainBatchInto(idx, act)
+	l.TrainBatchInto(idx, act)
 	l.pool.Put(act)
 }
 
-// TrainBatchInto is TrainBatch exposing the training activations: when the
-// step ran fused with no support noise it fills act (batch × H·M) with the
-// batch's forward activations — computed in-pass against the pre-update
-// parameters — and returns true, letting streaming callers skip a second
-// forward pass. It returns false when the activations are not reusable
-// (composed path, or noise was injected); act contents are then undefined.
+// TrainBatchInto is TrainBatch exposing the training activations: it fills
+// act (batch × H·M) with the batch's forward activations, computed in-pass
+// against the pre-update parameters. It returns true when no support noise
+// was injected, so streaming callers can reuse act instead of running a
+// second forward pass; on false act holds the noisy activations.
+//
+// The step always runs at float64, whatever Params.Precision says: traces
+// are float64, and on the float32 path sync32 rebuilds the down-cast images
+// lazily before the next prediction. Support noise is drawn row-major from
+// the layer RNG, so training stays deterministic and backend-independent.
 func (l *HiddenLayer) TrainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
-	if act.Rows != len(idx) || act.Cols != l.Units() {
-		panic("core: TrainBatchInto activation shape mismatch")
-	}
-	return l.trainBatchInto(idx, act)
-}
-
-func (l *HiddenLayer) trainBatchInto(idx [][]int32, act *tensor.Matrix) bool {
-	if l.step != nil {
-		l.fusedLayerStep(idx, act)
-		return l.noiseStd == 0
-	}
-	l.forwardNoisy(idx, act)
-	t := l.p.Taupdt
-	l.be.OneHotMeanLerp(l.Ci, idx, t)
-	tensor.ColMeans(l.meanAct, act)
-	l.be.Lerp(l.Cj, l.meanAct, t)
-	if l.sparse {
-		// Block-sparse step: only active Cij blocks decay/accumulate and
-		// only active W panels are re-derived. Silent W panels keep the
-		// exact zeros the last masked refresh wrote.
-		bi := l.Blocks()
-		l.be.OneHotOuterLerpSparse(l.Cij, idx, act, t, bi)
-		l.homeostasis()
-		l.be.UpdateWeightsSparse(l.W, l.Ci, l.Cj, l.Cij, bi, l.p.Eps)
-		l.be.UpdateBias(l.Bias, l.Kbi, l.Cj, l.p.Eps)
-		l.w32stale = true
-		return false
-	}
-	l.be.OneHotOuterLerp(l.Cij, idx, act, t)
-	l.homeostasis()
-	l.refreshParameters()
-	return false
-}
-
-// fusedLayerStep ships the whole batch update to the backend as one
-// LayerStep call. Homeostasis and the parameter refresh happen in-pass, so
-// the composed sequence's trailing refreshParameters — and, for float32, the
-// eager recast it would schedule — collapse to marking the images stale;
-// sync32 still rebuilds them lazily before the next reduced-precision
-// forward. Support noise is pre-drawn row-major from the layer RNG, exactly
-// the order forwardNoisy consumes it, so training stays deterministic and
-// backend-independent.
-func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 	var noise []float64
 	if l.noiseStd > 0 {
 		n := len(idx) * l.Units()
@@ -451,7 +352,7 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 	}
 	var bi *tensor.BlockIndex
 	if l.sparse {
-		bi = l.Blocks()
+		bi = l.blocks
 	}
 	l.step.LayerStep(idx, act, l.Ci, l.Cj, l.Cij, l.W, l.Bias, l.Mask,
 		backend.LayerGeom{Fi: l.Fi, Mi: l.Mi, H: l.H, M: l.M},
@@ -466,28 +367,7 @@ func (l *HiddenLayer) fusedLayerStep(idx [][]int32, act *tensor.Matrix) {
 			Blocks:       bi,
 		})
 	l.w32stale = true
-}
-
-// homeostasis adapts the per-unit bias gain Kbi. The paper defers the bias
-// regulation mechanism to Ravichandran et al. [3]; we implement the same
-// effect (no permanently dead MCUs) with a floored-bias rule: units whose
-// activation trace has fallen below pmin = PMinFraction/M get their bias
-// gain driven toward the value that would place the bias at the fair-share
-// level log(1/M), removing their competitive handicap so they can re-enter;
-// healthy units relax toward gain 1 (the pure Bayesian bias). Documented as
-// a substitution in DESIGN.md §3.
-func (l *HiddenLayer) homeostasis() {
-	fair := math.Log(1 / float64(l.M))
-	pmin := l.p.PMinFraction / float64(l.M)
-	for j, cj := range l.Cj {
-		target := 1.0
-		if cj < pmin {
-			lp := math.Log(math.Max(cj, l.p.Eps))
-			// lp <= log(pmin) < 0; the ratio is in (0, 1].
-			target = fair / lp
-		}
-		l.Kbi[j] = (1-l.p.Taubdt)*l.Kbi[j] + l.p.Taubdt*target
-	}
+	return noise == nil
 }
 
 // ActiveFraction reports the fraction of hidden units whose activation trace

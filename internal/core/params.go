@@ -26,17 +26,18 @@ package core
 import "fmt"
 
 // Precision selects the element width of the compute path (DESIGN.md §9).
-// Traces — the learning accumulators — always stay float64, exactly as
-// StreamBrain's reduced-precision explorations keep accumulation wide; the
-// precision choice governs forward passes and the derived parameters
-// (weights, biases) they read.
+// Traces — the learning accumulators — and the unsupervised training step
+// that updates them always stay float64, exactly as StreamBrain's reduced-
+// precision explorations keep accumulation wide; the precision choice
+// governs forward passes (supervised phase, evaluation, serving) and the
+// derived parameters (weights, biases) they read.
 type Precision string
 
 const (
 	// Float64 is the default full-precision path.
 	Float64 Precision = "float64"
 	// Float32 runs forward passes on the float32 kernel set: weights and
-	// biases are down-cast after every trace update and supports, softmax
+	// biases are down-cast after the trace updates and supports, softmax
 	// and scores are computed at half width (and, on amd64, twice the SIMD
 	// lanes). It reproduces the paper's reduced-precision training scenario
 	// (bfloat16/posit, Svedin et al. 2021) in CI-runnable form.
@@ -77,7 +78,8 @@ type Params struct {
 	// Taubdt is the adaptation rate of the homeostatic bias gain.
 	Taubdt float64
 	// PMinFraction sets the starvation threshold for the bias floor as a
-	// fraction of the fair share 1/MCUs (see hidden.go homeostasis()).
+	// fraction of the fair share 1/MCUs (the homeostasis rule of
+	// DESIGN.md §3, applied inside every LayerStep).
 	PMinFraction float64
 	// Temperature is the hidden softmax temperature; lower is sharper.
 	Temperature float64
@@ -110,10 +112,11 @@ type Params struct {
 	// See the Precision type for what moves to float32 and what stays wide.
 	Precision Precision
 
-	// SparseCompute turns the receptive-field mask into block-sparse compute
-	// (DESIGN.md §15): forward gathers, joint-trace updates and weight
-	// re-derivation walk a compressed per-HCU block index instead of the
-	// dense buffers, and silent Cij blocks are frozen rather than decayed.
+	// SparseCompute turns the receptive-field mask into block-sparse
+	// training (DESIGN.md §15): joint-trace updates and weight re-derivation
+	// walk a compressed per-HCU block index instead of the dense buffers
+	// (Forward gathers through it in both regimes), and silent Cij blocks
+	// are frozen rather than decayed.
 	// The dense default keeps StreamBrain's semantics (silent traces still
 	// decay); sparse is the measured-speed regime the sparsity experiments
 	// and the sparse perf suite exercise.

@@ -92,7 +92,6 @@ func (l *HiddenLayer) StructuralUpdate() []SwapRecord {
 		}
 	}
 	if len(swaps) > 0 {
-		l.invalidateBlocks()
 		l.refreshParameters()
 	}
 	l.lastSwaps = swaps
@@ -178,7 +177,6 @@ func (l *HiddenLayer) PruneRegrow(targetK, regrow int) []SwapRecord {
 		}
 	}
 	l.K = targetK
-	l.invalidateBlocks()
 	l.refreshParameters()
 	l.lastSwaps = swaps
 	return swaps
@@ -220,7 +218,6 @@ func (l *HiddenLayer) SetReceptiveField(h int, field []bool) {
 	for fi, on := range field {
 		l.Mask[fi*l.H+h] = on
 	}
-	l.invalidateBlocks()
 	l.refreshParameters()
 }
 

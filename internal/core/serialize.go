@@ -116,8 +116,9 @@ func Load(r io.Reader, be backend.Backend) (*Network, error) {
 	}
 	in := st.Fi * st.Mi
 	units := st.Params.HCUs * st.Params.MCUs
-	if len(st.HiddenCi) != in || len(st.HiddenCj) != units ||
-		len(st.HiddenCij) != in*units || len(st.Mask) != st.Fi*st.Params.HCUs {
+	k, ok := uniformK(st.Mask, st.Fi, st.Params.HCUs)
+	if len(st.HiddenCi) != in || len(st.HiddenCj) != units || len(st.HiddenCij) != in*units ||
+		len(st.HiddenKbi) != units || !ok {
 		return nil, fmt.Errorf("core: load: inconsistent state geometry")
 	}
 	n := NewNetwork(be, st.Fi, st.Mi, st.Classes, st.Params)
@@ -126,17 +127,9 @@ func Load(r io.Reader, be backend.Backend) (*Network, error) {
 	copy(n.Hidden.Cij.Data, st.HiddenCij)
 	copy(n.Hidden.Kbi, st.HiddenKbi)
 	copy(n.Hidden.Mask, st.Mask)
-	// The prune/regrow schedule drives K away from round(RF·Fi), so restore
-	// it from the mask itself (the exactly-K-per-HCU invariant makes column
-	// h=0 representative), and drop any block index built over the init mask.
-	k := 0
-	for fi := 0; fi < st.Fi; fi++ {
-		if st.Mask[fi*st.Params.HCUs] {
-			k++
-		}
-	}
+	// The prune/regrow schedule drives K away from round(RF·Fi), so it is
+	// restored from the mask itself; the refresh rebuilds the block index.
 	n.Hidden.K = k
-	n.Hidden.invalidateBlocks()
 	n.Hidden.refreshParameters()
 	switch st.ReadoutKind {
 	case "", readoutBCPNN:
@@ -168,6 +161,29 @@ func Load(r io.Reader, be backend.Backend) (*Network, error) {
 	// bit-identical to an uninterrupted run; document as such).
 	n.rng = rand.New(rand.NewSource(st.Params.Seed + 97))
 	return n, nil
+}
+
+// uniformK returns the active count K shared by every HCU column of an Fi×H
+// mask, and false when the columns disagree — the exactly-K-per-HCU invariant
+// that structural plasticity and the block index assume.
+func uniformK(mask []bool, fi, h int) (int, bool) {
+	if len(mask) != fi*h {
+		return 0, false
+	}
+	k := -1
+	for c := 0; c < h; c++ {
+		n := 0
+		for r := 0; r < fi; r++ {
+			if mask[r*h+c] {
+				n++
+			}
+		}
+		if k >= 0 && n != k {
+			return 0, false
+		}
+		k = n
+	}
+	return k, true
 }
 
 // statesEqual is a test helper comparing the derived parameters of two

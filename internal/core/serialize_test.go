@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"streambrain/internal/backend"
@@ -144,4 +146,60 @@ func TestResumeTrainingAfterLoad(t *testing.T) {
 	if accAfter < accBefore-0.1 {
 		t.Fatalf("resumed training degraded accuracy %.3f -> %.3f", accBefore, accAfter)
 	}
+}
+
+// craftState saves a small trained network, lets mutate edit the decoded
+// snapshot, and returns the re-encoded bytes — a hostile file that is still
+// well-formed gob.
+func craftState(t *testing.T, mutate func(st *networkState)) *bytes.Buffer {
+	t.Helper()
+	rng := rand.New(rand.NewSource(34))
+	n := NewNetwork(backend.MustNew("naive", 0), 6, 4, 2, smallParams())
+	n.Train(synthEncoded(rng, 200, 6, 4, []int{0}, 0.1))
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var st networkState
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&st)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+func wantInconsistentState(t *testing.T, in *bytes.Buffer) {
+	t.Helper()
+	_, err := Load(in, backend.MustNew("naive", 0))
+	if err == nil || !strings.Contains(err.Error(), "inconsistent state geometry") {
+		t.Fatalf("Load error %v, want inconsistent state geometry", err)
+	}
+}
+
+// TestLoadRejectsShortKbi: a homeostatic gain vector shorter than H·M must
+// not load with the missing gains silently left at their defaults.
+func TestLoadRejectsShortKbi(t *testing.T) {
+	wantInconsistentState(t, craftState(t, func(st *networkState) {
+		st.HiddenKbi = st.HiddenKbi[:len(st.HiddenKbi)-1]
+	}))
+}
+
+// TestLoadRejectsUnevenMask: every HCU column of the mask must hold the same
+// K active inputs. Enabling one extra input of the last HCU leaves HCU 0
+// intact, which is the column K used to be read from.
+func TestLoadRejectsUnevenMask(t *testing.T) {
+	wantInconsistentState(t, craftState(t, func(st *networkState) {
+		h := st.Params.HCUs
+		for fi := 0; fi < st.Fi; fi++ {
+			if !st.Mask[fi*h+h-1] {
+				st.Mask[fi*h+h-1] = true
+				return
+			}
+		}
+		t.Fatal("last HCU has no silent input to enable")
+	}))
 }

@@ -17,9 +17,9 @@ import (
 // in CI-runnable form on the synthetic Higgs pipeline:
 //
 //   - float64:   the full-precision reference (parallel backend);
-//   - float32:   training and inference with the float32 compute path
-//     (Params.Precision = Float32 — forward passes and derived
-//     parameters at half width, traces float64);
+//   - float32:   the float32 compute path (Params.Precision = Float32 —
+//     forward passes and derived parameters at half width; traces and
+//     the unsupervised step float64);
 //   - posit16/8: the fpgasim backend, which quantizes derived-parameter
 //     storage through posit(16,1) / posit(8,0).
 //

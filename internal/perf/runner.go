@@ -259,7 +259,6 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		cj := make([]T, units)
 		bias := make([]T, units)
 		kbi := make([]T, units)
-		meanAct := make([]T, units)
 		for i := range ci {
 			ci[i] = T(rng.Float64()*0.05 + 0.01)
 		}
@@ -277,7 +276,6 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 			}
 		}
 		act := tensor.NewDense[T](trainstepBatch, units)
-		const t = 0.012
 		// Structural-sparsity fixture (DESIGN.md §15): a receptive-field mask
 		// silencing Sparsity of the input hypercolumns, the state the
 		// prune/regrow schedule leaves behind. The dense twin still computes
@@ -285,50 +283,20 @@ func buildKernelOpAt[T tensor.Float](sc Scenario, be backend.Kernels[T]) (func()
 		// silent panels, exactly what the dense training regime pays); the
 		// sparse twin walks the compressed block index and skips them.
 		mask, bi := trainstepMask(sc, rng, units)
-		if st, ok := be.(backend.LayerStepper[T]); ok {
-			// A whole-layer offload backend (DESIGN.md §14) runs the identical
-			// update as one fused LayerStep; the fused/parallel throughput
-			// ratio of a scenario pair is the measured fusion speedup
-			// benchgate floors.
-			geom := backend.LayerGeom{Fi: trainstepFi, Mi: trainstepMi, H: 1, M: units}
-			hyper := backend.LayerHyper[T]{Taupdt: t, Temperature: 1, Eps: 1e-9, Kbi: kbi}
-			if sc.Sparse {
-				hyper.Blocks = bi
-			}
-			return func() {
-				st.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
-			}, nil
-		}
+		// One whole-layer step (DESIGN.md §14): fused on a whole-layer
+		// offload backend, the composed kernel sequence elsewhere — so the
+		// fused/parallel throughput ratio of a scenario pair is the measured
+		// fusion speedup benchgate floors. Dense twins pass the mask to the
+		// masked weight refresh (nil for legacy scenarios); sparse twins
+		// walk the block index.
+		st := backend.StepperOf(be)
+		geom := backend.LayerGeom{Fi: trainstepFi, Mi: trainstepMi, H: 1, M: units}
+		hyper := backend.LayerHyper[T]{Taupdt: 0.012, Temperature: 1, Eps: 1e-9, Kbi: kbi}
 		if sc.Sparse {
-			return func() {
-				// Block-sparse step: forward gather, joint-trace update and
-				// weight re-derivation touch only active blocks — the
-				// sequence HiddenLayer.trainBatchInto runs in sparse mode.
-				be.OneHotMatMulSparse(act, idx, w, bi)
-				be.AddBias(act, bias)
-				be.SoftmaxGroups(act, 1, units, 1)
-				be.OneHotMeanLerp(ci, idx, t)
-				tensor.ColMeans(meanAct, act)
-				be.Lerp(cj, meanAct, t)
-				be.OneHotOuterLerpSparse(cij, idx, act, t, bi)
-				be.UpdateWeightsSparse(w, ci, cj, cij, bi, 1e-9)
-				be.UpdateBias(bias, kbi, cj, 1e-9)
-			}, nil
+			hyper.Blocks = bi
 		}
 		return func() {
-			// Forward: support, bias, per-HCU softmax (single hypercolumn).
-			be.OneHotMatMul(act, idx, w)
-			be.AddBias(act, bias)
-			be.SoftmaxGroups(act, 1, units, 1)
-			// Trace updates.
-			be.OneHotMeanLerp(ci, idx, t)
-			tensor.ColMeans(meanAct, act)
-			be.Lerp(cj, meanAct, t)
-			be.OneHotOuterLerp(cij, idx, act, t)
-			// Parameter refresh. Unmasked when no sparsity fixture is
-			// configured, keeping legacy baseline scenarios bit-identical.
-			be.UpdateWeights(w, ci, cj, cij, mask, trainstepFi, trainstepMi, 1, units, 1e-9)
-			be.UpdateBias(bias, kbi, cj, 1e-9)
+			st.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
 		}, nil
 	}
 	return nil, fmt.Errorf("perf: unknown kernel op %q", sc.Op)
