@@ -323,13 +323,13 @@ func BenchmarkOneHotVsDense(b *testing.B) {
 	b.Run("onehot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tensor.OneHotMatMulParallel(dst, idx, w, 0)
+			tensor.OneHotMatMul(dst, idx, w)
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tensor.MatMulParallel(dst, dense, w, 0, 0)
+			tensor.MatMulBlocked(dst, dense, w, 0)
 		}
 	})
 }

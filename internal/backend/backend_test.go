@@ -1,14 +1,13 @@
 package backend
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"streambrain/internal/tensor"
 )
-
-const tol = 1e-9
 
 func randMat(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 	m := tensor.NewMatrix(rows, cols)
@@ -34,19 +33,6 @@ func randIdx(rng *rand.Rand, batch, groups, width int) [][]int32 {
 		}
 	}
 	return idx
-}
-
-// allBackends returns one instance of every registered backend, with varied
-// worker counts for the parallel ones.
-func allBackends() []Backend {
-	return []Backend{
-		MustNew("naive", 0),
-		MustNew("parallel", 1),
-		MustNew("parallel", 4),
-		MustNew("fused", 1),
-		MustNew("fused", 4),
-		MustNew("gpusim", 4),
-	}
 }
 
 func TestRegistryNames(t *testing.T) {
@@ -75,162 +61,249 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("naive", func(int) Backend { return nil })
 }
 
-// TestConformanceMatMul and friends cross-check every backend against the
-// naive reference, the same validation strategy StreamBrain uses for its
-// hand-coded kernels vs NumPy.
+// TestConformanceMatMul and friends cross-check every kernel set against the
+// naive reference of its own precision, the same validation strategy
+// StreamBrain uses for its hand-coded kernels vs NumPy. Each runs at float64
+// and float32, on the worker-team backends at 1, 2 and 4 workers, with sizes
+// on both sides of the kernel's sharding minimum (parallel.go): a band split
+// must never change a result, so every worker count must also reproduce the
+// 1-worker result bit for bit.
 func TestConformanceMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, 37, 53)
-	b := randMat(rng, 53, 29)
-	want := tensor.NewMatrix(37, 29)
-	MustNew("naive", 0).MatMul(want, a, b)
-	for _, be := range allBackends() {
-		got := tensor.NewMatrix(37, 29)
-		be.MatMul(got, a, b)
-		if d := got.MaxAbsDiff(want); d > tol {
-			t.Errorf("%s MatMul diff %g", be.Name(), d)
-		}
-	}
+	bothPrecisions(t, conformMatMul[float64], conformMatMul[float32])
 }
 
 func TestConformanceMatMulATB(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMat(rng, 64, 31)
-	b := randMat(rng, 64, 17)
-	want := tensor.NewMatrix(31, 17)
-	MustNew("naive", 0).MatMulATB(want, a, b)
-	for _, be := range allBackends() {
-		got := tensor.NewMatrix(31, 17)
-		be.MatMulATB(got, a, b)
-		if d := got.MaxAbsDiff(want); d > tol {
-			t.Errorf("%s MatMulATB diff %g", be.Name(), d)
-		}
-	}
+	bothPrecisions(t, conformMatMulATB[float64], conformMatMulATB[float32])
 }
 
 func TestConformanceOneHotMatMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const batch, groups, width, out = 21, 9, 10, 40
-	w := randMat(rng, groups*width, out)
-	idx := randIdx(rng, batch, groups, width)
-	want := tensor.NewMatrix(batch, out)
-	MustNew("naive", 0).OneHotMatMul(want, idx, w)
-	for _, be := range allBackends() {
-		got := tensor.NewMatrix(batch, out)
-		be.OneHotMatMul(got, idx, w)
-		if d := got.MaxAbsDiff(want); d > tol {
-			t.Errorf("%s OneHotMatMul diff %g", be.Name(), d)
-		}
-	}
+	bothPrecisions(t, conformOneHotMatMul[float64], conformOneHotMatMul[float32])
 }
 
 func TestConformanceAddBiasSoftmax(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	bias := make([]float64, 24)
-	for i := range bias {
-		bias[i] = rng.NormFloat64()
+	bothPrecisions(t, conformAddBiasSoftmax[float64], conformAddBiasSoftmax[float32])
+}
+
+func TestConformanceLerp(t *testing.T) {
+	bothPrecisions(t, conformLerp[float64], conformLerp[float32])
+}
+
+func TestConformanceTraceKernels(t *testing.T) {
+	bothPrecisions(t, conformTraceKernels[float64], conformTraceKernels[float32])
+}
+
+func TestConformanceOuterLerp(t *testing.T) {
+	bothPrecisions(t, conformOuterLerp[float64], conformOuterLerp[float32])
+}
+
+func TestConformanceUpdateWeightsBias(t *testing.T) {
+	bothPrecisions(t, conformUpdateWeightsBias[float64], conformUpdateWeightsBias[float32])
+}
+
+func bothPrecisions(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+// kernelsOf returns the named backend's kernel set of precision T.
+func kernelsOf[T tensor.Float](name string, workers int) Kernels[T] {
+	if elemSize[T]() == 4 {
+		return any(MustNew32(name, workers)).(Kernels[T])
 	}
-	src := randMat(rng, 19, 24)
-	want := src.Clone()
-	nv := MustNew("naive", 0)
-	nv.AddBias(want, bias)
-	nv.SoftmaxGroups(want, 4, 6, 0.7)
-	for _, be := range allBackends() {
-		got := src.Clone()
-		be.AddBias(got, bias)
-		be.SoftmaxGroups(got, 4, 6, 0.7)
-		if d := got.MaxAbsDiff(want); d > 1e-12 {
-			t.Errorf("%s AddBias+Softmax diff %g", be.Name(), d)
+	return any(MustNew(name, workers)).(Kernels[T])
+}
+
+// conform runs one kernel call through the naive reference and through every
+// worker-team backend at 1, 2 and 4 workers. run executes the call on fresh
+// copies of its inputs and returns every output, concatenated. Results must
+// agree with the reference within the precision's tolerance, relative to
+// magnitude, and — for exact kernels — with the same backend's 1-worker
+// result bit for bit.
+func conform[T tensor.Float](t *testing.T, what string, exact bool, run func(k Kernels[T]) []T) {
+	t.Helper()
+	tol := 1e-9
+	if elemSize[T]() == 4 {
+		tol = 1e-4
+	}
+	want := run(kernelsOf[T]("naive", 0))
+	for _, name := range []string{"parallel", "fused", "gpusim"} {
+		var serial []T
+		for _, workers := range []int{1, 2, 4} {
+			got := run(kernelsOf[T](name, workers))
+			if len(got) != len(want) {
+				t.Fatalf("%s %s/%d: %d outputs, want %d", what, name, workers, len(got), len(want))
+			}
+			for i, v := range got {
+				ref := float64(want[i])
+				if d := math.Abs(float64(v) - ref); d > tol*(1+math.Abs(ref)) {
+					t.Fatalf("%s %s/%d: output %d = %v, reference %v", what, name, workers, i, v, ref)
+				}
+				if exact && serial != nil && v != serial[i] {
+					t.Fatalf("%s %s/%d: output %d = %v, 1-worker %v", what, name, workers, i, v, serial[i])
+				}
+			}
+			if serial == nil {
+				serial = got
+			}
 		}
 	}
 }
 
-func TestConformanceTraceKernels(t *testing.T) {
+func randDense[T tensor.Float](rng *rand.Rand, rows, cols int) *tensor.Dense[T] {
+	return tensor.Cast[T](randMat(rng, rows, cols))
+}
+
+func randProbDense[T tensor.Float](rng *rand.Rand, rows, cols int) *tensor.Dense[T] {
+	return tensor.Cast[T](randProbMat(rng, rows, cols))
+}
+
+func conformMatMul[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// 37 rows run inline; 261 rows cross minGEMMRows into uneven bands.
+	for _, rows := range []int{37, 261} {
+		a := randDense[T](rng, rows, 53)
+		b := randDense[T](rng, 53, 29)
+		conform(t, fmt.Sprintf("MatMul rows=%d", rows), true, func(k Kernels[T]) []T {
+			dst := tensor.NewDense[T](rows, 29)
+			k.MatMul(dst, a, b)
+			return dst.Data
+		})
+	}
+}
+
+func conformMatMulATB[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	// dst rows 31 run inline; 71 cross minATBRows.
+	for _, cols := range []int{31, 71} {
+		a := randDense[T](rng, 64, cols)
+		b := randDense[T](rng, 64, 17)
+		conform(t, fmt.Sprintf("MatMulATB dst-rows=%d", cols), true, func(k Kernels[T]) []T {
+			dst := tensor.NewDense[T](cols, 17)
+			k.MatMulATB(dst, a, b)
+			return dst.Data
+		})
+	}
+}
+
+func conformOneHotMatMul[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const groups, width, hcus, m = 9, 10, 4, 10
+	w := randDense[T](rng, groups*width, hcus*m)
+	mask := make([]bool, groups*hcus)
+	for i := range mask {
+		mask[i] = rng.Intn(2) == 0
+	}
+	bi := tensor.NewBlockIndex(mask, groups, width, hcus, m)
+	// 3 samples run inline; 21 cross minBatchRows.
+	for _, batch := range []int{3, 21} {
+		idx := randIdx(rng, batch, groups, width)
+		conform(t, fmt.Sprintf("OneHotMatMul batch=%d", batch), true, func(k Kernels[T]) []T {
+			dense := tensor.NewDense[T](batch, hcus*m)
+			sparse := tensor.NewDense[T](batch, hcus*m)
+			k.OneHotMatMul(dense, idx, w)
+			k.OneHotMatMulSparse(sparse, idx, w, bi)
+			return append(dense.Data, sparse.Data...)
+		})
+	}
+}
+
+func conformAddBiasSoftmax[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	bias := randDense[T](rng, 1, 24).Data
+	// 2 and 3 rows run inline; 19 cross minBatchRows.
+	for _, rows := range []int{2, 3, 19} {
+		src := randDense[T](rng, rows, 24)
+		conform(t, fmt.Sprintf("AddBias+Softmax rows=%d", rows), true, func(k Kernels[T]) []T {
+			biased := src.Clone()
+			k.AddBias(biased, bias)
+			soft := biased.Clone()
+			k.SoftmaxGroups(soft, 4, 6, 0.7)
+			return append(biased.Data, soft.Data...)
+		})
+	}
+}
+
+func conformLerp[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	// 1000 elements run inline; 16411 and 130×127 cross minLerpElems. Lerp
+	// shards flat element ranges whose edges need not fall on SIMD lane
+	// boundaries, and a band's scalar tail rounds without the fused
+	// multiply-add, so worker counts agree to within rounding, not bit for
+	// bit.
+	for _, n := range []int{1000, 16411} {
+		dst := randDense[T](rng, 1, n).Data
+		src := randDense[T](rng, 1, n).Data
+		conform(t, fmt.Sprintf("Lerp n=%d", n), false, func(k Kernels[T]) []T {
+			out := append([]T(nil), dst...)
+			k.Lerp(out, src, 0.3)
+			return out
+		})
+	}
+	for _, shape := range [][2]int{{3, 5}, {130, 127}} {
+		dst := randDense[T](rng, shape[0], shape[1])
+		src := randDense[T](rng, shape[0], shape[1])
+		conform(t, fmt.Sprintf("LerpMatrix %dx%d", shape[0], shape[1]), false, func(k Kernels[T]) []T {
+			out := dst.Clone()
+			k.LerpMatrix(out, src, 0.3)
+			return out.Data
+		})
+	}
+}
+
+func conformTraceKernels[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const batch, groups, width, units = 16, 7, 10, 33
 	in := groups * width
 	idx := randIdx(rng, batch, groups, width)
-	act := randProbMat(rng, batch, units)
-	ciRef := make([]float64, in)
-	cijRef := randProbMat(rng, in, units)
-	for i := range ciRef {
-		ciRef[i] = rng.Float64()
-	}
-	nv := MustNew("naive", 0)
-	wantCi := append([]float64(nil), ciRef...)
-	wantCij := cijRef.Clone()
-	nv.OneHotMeanLerp(wantCi, idx, 0.03)
-	nv.OneHotOuterLerp(wantCij, idx, act, 0.03)
-	for _, be := range allBackends() {
-		gotCi := append([]float64(nil), ciRef...)
-		gotCij := cijRef.Clone()
-		be.OneHotMeanLerp(gotCi, idx, 0.03)
-		be.OneHotOuterLerp(gotCij, idx, act, 0.03)
-		for i := range gotCi {
-			if math.Abs(gotCi[i]-wantCi[i]) > tol {
-				t.Fatalf("%s Ci diff at %d", be.Name(), i)
-			}
-		}
-		if d := gotCij.MaxAbsDiff(wantCij); d > tol {
-			t.Errorf("%s Cij diff %g", be.Name(), d)
-		}
-	}
+	act := randProbDense[T](rng, batch, units)
+	ci := randProbDense[T](rng, 1, in).Data
+	cij := randProbDense[T](rng, in, units)
+	conform(t, "OneHotMeanLerp+OneHotOuterLerp", true, func(k Kernels[T]) []T {
+		gotCi := append([]T(nil), ci...)
+		gotCij := cij.Clone()
+		k.OneHotMeanLerp(gotCi, idx, 0.03)
+		k.OneHotOuterLerp(gotCij, idx, act, 0.03)
+		return append(gotCi, gotCij.Data...)
+	})
 }
 
-func TestConformanceOuterLerp(t *testing.T) {
+func conformOuterLerp[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := randProbMat(rng, 12, 20)
-	b := randProbMat(rng, 12, 5)
-	base := randProbMat(rng, 20, 5)
-	want := base.Clone()
-	MustNew("naive", 0).OuterLerp(want, a, b, 0.1)
-	for _, be := range allBackends() {
-		got := base.Clone()
-		be.OuterLerp(got, a, b, 0.1)
-		if d := got.MaxAbsDiff(want); d > tol {
-			t.Errorf("%s OuterLerp diff %g", be.Name(), d)
-		}
+	// The inner aᵀb has 20 rows (inline) or 70 (crossing minATBRows).
+	for _, cols := range []int{20, 70} {
+		a := randProbDense[T](rng, 12, cols)
+		b := randProbDense[T](rng, 12, 5)
+		base := randProbDense[T](rng, cols, 5)
+		conform(t, fmt.Sprintf("OuterLerp rows=%d", cols), true, func(k Kernels[T]) []T {
+			got := base.Clone()
+			k.OuterLerp(got, a, b, 0.1)
+			return got.Data
+		})
 	}
 }
 
-func TestConformanceUpdateWeightsBias(t *testing.T) {
+func conformUpdateWeightsBias[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const fi, mi, h, m = 5, 4, 3, 6
 	in, units := fi*mi, h*m
-	ci := make([]float64, in)
-	cj := make([]float64, units)
-	kbi := make([]float64, units)
-	for i := range ci {
-		ci[i] = rng.Float64()
+	ci := randProbDense[T](rng, 1, in).Data
+	cj := randProbDense[T](rng, 1, units).Data
+	kbi := randProbDense[T](rng, 1, units).Data
+	for j := range kbi {
+		kbi[j]++
 	}
-	for j := range cj {
-		cj[j] = rng.Float64()
-		kbi[j] = 1 + rng.Float64()
-	}
-	cij := randProbMat(rng, in, units)
+	cij := randProbDense[T](rng, in, units)
 	mask := make([]bool, fi*h)
 	for i := range mask {
 		mask[i] = rng.Intn(2) == 0
 	}
-	wantW := tensor.NewMatrix(in, units)
-	wantB := make([]float64, units)
-	nv := MustNew("naive", 0)
-	nv.UpdateWeights(wantW, ci, cj, cij, mask, fi, mi, h, m, 1e-9)
-	nv.UpdateBias(wantB, kbi, cj, 1e-9)
-	for _, be := range allBackends() {
-		gotW := tensor.NewMatrix(in, units)
-		gotB := make([]float64, units)
-		be.UpdateWeights(gotW, ci, cj, cij, mask, fi, mi, h, m, 1e-9)
-		be.UpdateBias(gotB, kbi, cj, 1e-9)
-		if d := gotW.MaxAbsDiff(wantW); d > tol {
-			t.Errorf("%s UpdateWeights diff %g", be.Name(), d)
-		}
-		for j := range gotB {
-			if math.Abs(gotB[j]-wantB[j]) > tol {
-				t.Fatalf("%s UpdateBias diff at %d", be.Name(), j)
-			}
-		}
-	}
+	conform(t, "UpdateWeights+UpdateBias", true, func(k Kernels[T]) []T {
+		w := tensor.NewDense[T](in, units)
+		bias := make([]T, units)
+		k.UpdateWeights(w, ci, cj, cij, mask, fi, mi, h, m, 1e-9)
+		k.UpdateBias(bias, kbi, cj, 1e-9)
+		return append(w.Data, bias...)
+	})
 }
 
 func TestUpdateWeightsMaskZeroesSilentBlocks(t *testing.T) {

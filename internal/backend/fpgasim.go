@@ -89,8 +89,7 @@ func (p PipelineStats) Occupancy(stage int) float64 {
 // in the storage format diverges. Quantizing only the derived parameters
 // mirrors that design split.
 type FPGASim struct {
-	dev    *Parallel[float64]
-	step   *Fused[float64]
+	dev    *Fused[float64] // kernels and the fused LayerStep, one worker team
 	format posit.Format
 	pipe   PipelineStats
 }
@@ -102,8 +101,7 @@ func NewFPGASim(workers int, format posit.Format) *FPGASim {
 		panic(err)
 	}
 	return &FPGASim{
-		dev:    NewParallel(workers),
-		step:   NewFused(workers),
+		dev:    NewFused(workers),
 		format: format,
 	}
 }
@@ -257,12 +255,20 @@ func (f *FPGASim) UpdateWeightsSparse(w *tensor.Matrix, ci, cj []float64, cij *t
 	f.quantizeParams(w, nil)
 }
 
+// quantizeOp rounds rows of w into posit storage, sharded by row band.
+type quantizeOp struct {
+	format posit.Format
+	w      *tensor.Matrix
+}
+
+func (o quantizeOp) run(lo, hi int) {
+	o.format.QuantizeSlice(o.w.Data[lo*o.w.Cols : hi*o.w.Cols])
+}
+
 // quantizeParams rounds the derived parameters into posit storage: w row
 // bands in parallel (it is the large buffer), bias inline when non-nil.
 func (f *FPGASim) quantizeParams(w *tensor.Matrix, bias []float64) {
-	f.dev.parallelFor(w.Rows, func(lo, hi int) {
-		f.format.QuantizeSlice(w.Data[lo*w.Cols : hi*w.Cols])
-	})
+	parallelFor(f.dev.workers, w.Rows, 1, quantizeOp{f.format, w})
 	if bias != nil {
 		f.format.QuantizeSlice(bias)
 	}
@@ -318,6 +324,6 @@ func (f *FPGASim) LayerStep(idx [][]int32, act *tensor.Matrix, ci, cj []float64,
 	}
 	f.pipe.TotalCycles += peak
 
-	f.step.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
+	f.dev.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
 	f.quantizeParams(w, bias)
 }

@@ -96,13 +96,9 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 
 	// Pass 1 — forward, sharded over the batch: support gather, bias,
 	// optional pre-drawn noise, per-HCU softmax, one visit per row.
-	if f.workers <= 1 {
-		f.forwardBand(act, idx, w, bias, hyper, geom, 0, len(idx))
-	} else {
-		f.parallelFor(len(idx), func(lo, hi int) {
-			f.forwardBand(act, idx, w, bias, hyper, geom, lo, hi)
-		})
-	}
+	st := fusedStep[T]{idx: idx, act: act, ci: ci, cij: cij, w: w, bias: bias, mask: mask,
+		geom: geom, hyper: hyper}
+	parallelFor(f.workers, len(idx), 1, st)
 
 	// Serial section — the per-unit vectors are tiny next to the matrices.
 	// ColMeans keeps the composed path's sequential summation order, so the
@@ -120,32 +116,31 @@ func (f *Fused[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	// row block's decay, accumulation, and log-odds re-derivation all happen
 	// while the block is cache-resident. The sparse regime walks only the
 	// active blocks of the index through the same segment microkernels.
-	if bi := hyper.Blocks; bi != nil {
-		if f.workers <= 1 {
-			f.traceWeightBandSparse(cij, w, act, idx, ci, bi, t, hyper.Eps, 0, cij.Rows)
-		} else {
-			f.parallelFor(cij.Rows, func(lo, hi int) {
-				f.traceWeightBandSparse(cij, w, act, idx, ci, bi, t, hyper.Eps, lo, hi)
-			})
-		}
-		return
-	}
-	if f.workers <= 1 {
-		f.traceWeightBand(cij, w, act, idx, ci, mask, geom, t, hyper.Eps, 0, cij.Rows)
-	} else {
-		f.parallelFor(cij.Rows, func(lo, hi int) {
-			f.traceWeightBand(cij, w, act, idx, ci, mask, geom, t, hyper.Eps, lo, hi)
-		})
-	}
+	st.logcj = f.logcj
+	parallelFor(f.workers, cij.Rows, 1, fusedTraceWeights[T](st))
 }
 
-// forwardBand computes act rows [lo,hi): support gather, bias, optional
+// fusedStep carries one LayerStep's operands to its sharded passes; its run
+// is pass 1.
+type fusedStep[T tensor.Float] struct {
+	idx    [][]int32
+	act    *tensor.Dense[T]
+	ci     []T
+	cij, w *tensor.Dense[T]
+	bias   []T
+	mask   []bool
+	logcj  []T // log(max(cj,eps)), filled by the serial section before pass 2
+	geom   LayerGeom
+	hyper  LayerHyper[T]
+}
+
+// run is pass 1: it computes act rows [lo,hi): support gather, bias, optional
 // pre-drawn noise, per-HCU softmax — one pass per row. Rows are independent,
 // so worker sharding cannot change the result. In the sparse regime the
 // gather touches only active-block weight segments; the skipped segments are
 // exact zeros, so the support is bit-identical to the dense gather.
-func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
-	bias []T, hyper LayerHyper[T], geom LayerGeom, lo, hi int) {
+func (st fusedStep[T]) run(lo, hi int) {
+	act, idx, w, bias, hyper, geom := st.act, st.idx, st.w, st.bias, st.hyper, st.geom
 	n := w.Cols
 	bi := hyper.Blocks
 	for s := lo; s < hi; s++ {
@@ -172,16 +167,27 @@ func (f *Fused[T]) forwardBand(act *tensor.Dense[T], idx [][]int32, w *tensor.De
 	}
 }
 
+// fusedTraceWeights is pass 2 over the same operands, dense or block-sparse.
+type fusedTraceWeights[T tensor.Float] fusedStep[T]
+
+func (st fusedTraceWeights[T]) run(lo, hi int) {
+	if st.hyper.Blocks != nil {
+		st.traceWeightBandSparse(lo, hi)
+		return
+	}
+	st.traceWeightBand(lo, hi)
+}
+
 // traceWeightBandSparse is the block-sparse pass 2: for Cij/W rows [lo,hi),
 // decay and accumulate only the active blocks (the shared sparse range
 // helper) and re-derive only the active weight segments while the rows are
 // cache-resident. Silent trace blocks stay frozen and silent weight blocks
 // keep the zeros the last masked refresh wrote.
-func (f *Fused[T]) traceWeightBandSparse(cij, w, act *tensor.Dense[T], idx [][]int32,
-	ci []T, bi *tensor.BlockIndex, t, eps float64, lo, hi int) {
-	epsT := T(eps)
+func (st fusedTraceWeights[T]) traceWeightBandSparse(lo, hi int) {
+	cij, w, act, idx, ci, logcj := st.cij, st.w, st.act, st.idx, st.ci, st.logcj
+	bi, t := st.hyper.Blocks, st.hyper.Taupdt
+	epsT := T(st.hyper.Eps)
 	eps2 := epsT * epsT
-	logcj := f.logcj
 	m := bi.M
 	block := fusedBlockRows(cij.Cols, int(elemSize[T]()))
 	for b0 := lo; b0 < hi; b0 += block {
@@ -209,11 +215,11 @@ func (f *Fused[T]) traceWeightBandSparse(cij, w, act *tensor.Dense[T], idx [][]i
 // recompute before they can fall out of cache. The arithmetic is exactly
 // oneHotOuterLerpRange followed by updateWeightsRange's formula with the
 // log(Cj) table hoisted out (the composed kernel rebuilds it per call).
-func (f *Fused[T]) traceWeightBand(cij, w, act *tensor.Dense[T], idx [][]int32,
-	ci []T, mask []bool, geom LayerGeom, t, eps float64, lo, hi int) {
-	epsT := T(eps)
+func (st fusedTraceWeights[T]) traceWeightBand(lo, hi int) {
+	cij, w, act, idx, ci, logcj := st.cij, st.w, st.act, st.idx, st.ci, st.logcj
+	mask, geom, t := st.mask, st.geom, st.hyper.Taupdt
+	epsT := T(st.hyper.Eps)
 	eps2 := epsT * epsT
-	logcj := f.logcj
 	block := fusedBlockRows(cij.Cols, int(elemSize[T]()))
 	for b0 := lo; b0 < hi; b0 += block {
 		b1 := min(b0+block, hi)

@@ -71,13 +71,11 @@ type gpuLedger struct {
 // reduced-precision argument (one-hot index uploads stay 4 bytes/index at
 // every precision; see idxBytes).
 type GPUSim[T tensor.Float] struct {
-	dev *Parallel[T]
+	// dev is the modeled device's one worker team: it runs every kernel and
+	// the fused whole-layer offload (LayerStep) — the full_cuda
+	// substitution: one launch per training step instead of one per kernel.
+	dev *Fused[T]
 	led *gpuLedger
-
-	// step executes fused whole-layer offload (LayerStep) on the modeled
-	// device — the full_cuda substitution: one launch per training step
-	// instead of one per kernel.
-	step *Fused[T]
 
 	// resident is this precision's buffer set; it shares the ledger mutex
 	// so companion simulators account atomically against one device model.
@@ -99,9 +97,8 @@ func NewGPUSim(workers int, policy TransferPolicy) *GPUSim[float64] {
 // NewGPUSimOf returns a GPU simulator of the given precision.
 func NewGPUSimOf[T tensor.Float](workers int, policy TransferPolicy) *GPUSim[T] {
 	return &GPUSim[T]{
-		dev:      NewParallelOf[T](workers),
+		dev:      NewFusedOf[T](workers),
 		led:      &gpuLedger{policy: policy},
-		step:     NewFusedOf[T](workers),
 		resident: make(map[*T]bool),
 	}
 }
@@ -119,9 +116,8 @@ func (g *GPUSim[T]) Workers() int { return g.dev.Workers() }
 // keeps its forward traffic visible to whoever holds the float64 handle.
 func (g *GPUSim[T]) Kernels32() Backend32 {
 	return &GPUSim[float32]{
-		dev:      NewParallelOf[float32](g.dev.Workers()),
+		dev:      NewFusedOf[float32](g.dev.Workers()),
 		led:      g.led,
-		step:     NewFusedOf[float32](g.dev.Workers()),
 		resident: make(map[*float32]bool),
 	}
 }
@@ -189,27 +185,6 @@ func (g *GPUSim[T]) ChargeUpload(bufs ...[]T) {
 	}
 }
 
-// launch charges one kernel launch plus transfers for the operand buffers:
-// ins are read by the kernel (H2D if not resident), outs are written (D2H if
-// not resident). Under PolicyChatty residency is ignored and everything
-// moves every call.
-func (g *GPUSim[T]) launch(ins [][]T, outs [][]T) {
-	g.led.mu.Lock()
-	defer g.led.mu.Unlock()
-	g.led.stats.KernelLaunches++
-	es := elemSize[T]()
-	for _, b := range ins {
-		if g.led.policy == PolicyChatty || !g.resident[key(b)] {
-			g.led.stats.BytesH2D += es * int64(len(b))
-		}
-	}
-	for _, b := range outs {
-		if g.led.policy == PolicyChatty || !g.resident[key(b)] {
-			g.led.stats.BytesD2H += es * int64(len(b))
-		}
-	}
-}
-
 // idxBytes models the upload cost of a one-hot index batch. Indices are
 // int32 positions, not matrix elements, so they cost 4 bytes each at every
 // precision — reduced precision halves float traffic only.
@@ -223,17 +198,25 @@ func (g *GPUSim[T]) idxBytes(idx [][]int32) {
 	g.led.mu.Unlock()
 }
 
-// partial is an operand charged at a modeled element count instead of its
-// full buffer length — the sparse kernels move only active-block panels.
+// partial is a kernel operand charged at a modeled element count: its whole
+// buffer (full), or only the active-block panels the sparse kernels move
+// (blocksOf).
 type partial[T tensor.Float] struct {
 	buf   []T
 	elems int64
 }
 
-// launchPartial is launch with per-operand element counts: one kernel launch,
-// H2D for non-resident (or chatty) inputs, D2H for non-resident (or chatty)
-// outputs, each charged at the operand's modeled element count. The sparse
-// kernels route through it so the cost model charges only active blocks.
+// full returns a partial operand charged at its whole buffer length.
+func full[T tensor.Float](b []T) partial[T] {
+	return partial[T]{buf: b, elems: int64(len(b))}
+}
+
+// launchPartial charges one kernel launch plus transfers for its operands:
+// ins are read by the kernel (H2D if not resident), outs are written (D2H if
+// not resident), each charged at the operand's modeled element count — the
+// whole buffer for full operands, only the active blocks for the sparse
+// kernels' blocksOf operands. Under PolicyChatty residency is ignored and
+// everything moves every call.
 func (g *GPUSim[T]) launchPartial(ins, outs []partial[T]) {
 	g.led.mu.Lock()
 	defer g.led.mu.Unlock()
@@ -253,83 +236,79 @@ func (g *GPUSim[T]) launchPartial(ins, outs []partial[T]) {
 
 // MatMul implements Kernels.
 func (g *GPUSim[T]) MatMul(dst, a, b *tensor.Dense[T]) {
-	g.launch([][]T{a.Data, b.Data}, [][]T{dst.Data})
+	g.launchPartial([]partial[T]{full(a.Data), full(b.Data)}, []partial[T]{full(dst.Data)})
 	g.dev.MatMul(dst, a, b)
 }
 
 // MatMulATB implements Kernels.
 func (g *GPUSim[T]) MatMulATB(dst, a, b *tensor.Dense[T]) {
-	g.launch([][]T{a.Data, b.Data}, [][]T{dst.Data})
+	g.launchPartial([]partial[T]{full(a.Data), full(b.Data)}, []partial[T]{full(dst.Data)})
 	g.dev.MatMulATB(dst, a, b)
 }
 
 // OneHotMatMul implements Kernels.
 func (g *GPUSim[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T]) {
 	g.idxBytes(idx)
-	g.launch([][]T{w.Data}, [][]T{dst.Data})
+	g.launchPartial([]partial[T]{full(w.Data)}, []partial[T]{full(dst.Data)})
 	g.dev.OneHotMatMul(dst, idx, w)
 }
 
 // AddBias implements Kernels.
 func (g *GPUSim[T]) AddBias(m *tensor.Dense[T], bias []T) {
-	g.launch([][]T{bias}, [][]T{m.Data})
+	g.launchPartial([]partial[T]{full(bias)}, []partial[T]{full(m.Data)})
 	g.dev.AddBias(m, bias)
 }
 
 // SoftmaxGroups implements Kernels.
 func (g *GPUSim[T]) SoftmaxGroups(m *tensor.Dense[T], groups, width int, temperature float64) {
-	g.launch(nil, [][]T{m.Data})
+	g.launchPartial(nil, []partial[T]{full(m.Data)})
 	g.dev.SoftmaxGroups(m, groups, width, temperature)
 }
 
 // Lerp implements Kernels.
 func (g *GPUSim[T]) Lerp(dst, src []T, t float64) {
-	g.launch([][]T{src}, [][]T{dst})
+	g.launchPartial([]partial[T]{full(src)}, []partial[T]{full(dst)})
 	g.dev.Lerp(dst, src, t)
 }
 
 // LerpMatrix implements Kernels.
 func (g *GPUSim[T]) LerpMatrix(dst, src *tensor.Dense[T], t float64) {
-	g.launch([][]T{src.Data}, [][]T{dst.Data})
+	g.launchPartial([]partial[T]{full(src.Data)}, []partial[T]{full(dst.Data)})
 	g.dev.LerpMatrix(dst, src, t)
 }
 
 // OneHotMeanLerp implements Kernels.
 func (g *GPUSim[T]) OneHotMeanLerp(ci []T, idx [][]int32, t float64) {
 	g.idxBytes(idx)
-	g.launch(nil, [][]T{ci})
+	g.launchPartial(nil, []partial[T]{full(ci)})
 	g.dev.OneHotMeanLerp(ci, idx, t)
 }
 
 // OneHotOuterLerp implements Kernels.
 func (g *GPUSim[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64) {
 	g.idxBytes(idx)
-	g.launch([][]T{act.Data}, [][]T{cij.Data})
+	g.launchPartial([]partial[T]{full(act.Data)}, []partial[T]{full(cij.Data)})
 	g.dev.OneHotOuterLerp(cij, idx, act, t)
 }
 
 // OuterLerp implements Kernels.
 func (g *GPUSim[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t float64) {
-	g.launch([][]T{a.Data, b.Data}, [][]T{cij.Data})
+	g.launchPartial([]partial[T]{full(a.Data), full(b.Data)}, []partial[T]{full(cij.Data)})
 	g.dev.OuterLerp(cij, a, b, t)
 }
 
 // UpdateWeights implements Kernels.
 func (g *GPUSim[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
 	mask []bool, fi, mi, h, m int, eps float64) {
-	g.launch([][]T{ci, cj, cij.Data}, [][]T{w.Data})
+	g.launchPartial([]partial[T]{full(ci), full(cj), full(cij.Data)},
+		[]partial[T]{full(w.Data)})
 	g.dev.UpdateWeights(w, ci, cj, cij, mask, fi, mi, h, m, eps)
 }
 
 // UpdateBias implements Kernels.
 func (g *GPUSim[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
-	g.launch([][]T{kbi, cj}, [][]T{bias})
+	g.launchPartial([]partial[T]{full(kbi), full(cj)}, []partial[T]{full(bias)})
 	g.dev.UpdateBias(bias, kbi, cj, eps)
-}
-
-// full returns a partial operand charged at its whole buffer length.
-func full[T tensor.Float](b []T) partial[T] {
-	return partial[T]{buf: b, elems: int64(len(b))}
 }
 
 // blocksOf returns a partial operand for a block-tiled matrix (W or Cij),
@@ -377,24 +356,16 @@ func (g *GPUSim[T]) UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *ten
 func (g *GPUSim[T]) LayerStep(idx [][]int32, act *tensor.Dense[T], ci, cj []T,
 	cij, w *tensor.Dense[T], bias []T, mask []bool, geom LayerGeom, hyper LayerHyper[T]) {
 	g.idxBytes(idx)
+	wOp, cijOp := full(w.Data), full(cij.Data)
 	if bi := hyper.Blocks; bi != nil {
 		// Block-sparse regime: W and Cij move (and are rewritten) only in
 		// their active panels; the short vectors move whole as before.
-		ins := []partial[T]{blocksOf(w, bi), full(bias), full(ci), full(cj),
-			blocksOf(cij, bi), full(hyper.Kbi)}
-		if hyper.Noise != nil {
-			ins = append(ins, full(hyper.Noise))
-		}
-		outs := []partial[T]{full(ci), full(cj), blocksOf(cij, bi),
-			blocksOf(w, bi), full(bias), full(hyper.Kbi)}
-		g.launchPartial(ins, outs)
-	} else {
-		ins := [][]T{w.Data, bias, ci, cj, cij.Data, hyper.Kbi}
-		if hyper.Noise != nil {
-			ins = append(ins, hyper.Noise)
-		}
-		outs := [][]T{ci, cj, cij.Data, w.Data, bias, hyper.Kbi}
-		g.launch(ins, outs)
+		wOp, cijOp = blocksOf(w, bi), blocksOf(cij, bi)
 	}
-	g.step.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
+	ins := []partial[T]{wOp, full(bias), full(ci), full(cj), cijOp, full(hyper.Kbi)}
+	if hyper.Noise != nil {
+		ins = append(ins, full(hyper.Noise))
+	}
+	g.launchPartial(ins, []partial[T]{full(ci), full(cj), cijOp, wOp, full(bias), full(hyper.Kbi)})
+	g.dev.LayerStep(idx, act, ci, cj, cij, w, bias, mask, geom, hyper)
 }

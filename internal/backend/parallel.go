@@ -17,10 +17,26 @@ func init() {
 // sharded across a fixed worker count; inner loops are unit-stride and
 // dispatch to the AVX2+FMA microkernels where available, so the float32
 // instantiation processes twice the lanes per instruction.
+//
+// Every kernel shards through the one fan-out loop, parallelFor, over the
+// serial tensor kernels' row-range forms (DESIGN.md §2). A row band never
+// changes an element's arithmetic, so the row-sharded kernels are
+// bit-identical at every worker count; Lerp's flat element bands can move a
+// few elements between the SIMD body and the scalar tail, which agree to
+// within rounding.
 type Parallel[T tensor.Float] struct {
 	workers int
-	block   int
 }
+
+// Minimum item counts below which a kernel runs serially: sharding a smaller
+// problem costs more in goroutine start-up than the work it splits. The
+// trace and weight kernels shard at any size.
+const (
+	minGEMMRows  = 2 * tensor.DefaultBlock // MatMul: rows of a
+	minATBRows   = 64                      // MatMulATB: rows of dst
+	minLerpElems = 1 << 14                 // Lerp, LerpMatrix: elements
+	minBatchRows = 4                       // gather, bias, softmax: batch rows
+)
 
 // NewParallel returns the float64 Parallel backend with the given team size.
 // workers <= 0 selects GOMAXPROCS.
@@ -31,11 +47,8 @@ func NewParallelOf[T tensor.Float](workers int) *Parallel[T] {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Parallel[T]{workers: workers, block: tensor.DefaultBlock}
+	return &Parallel[T]{workers: workers}
 }
-
-// SetBlock overrides the GEMM cache-block edge (for the blocking ablation).
-func (p *Parallel[T]) SetBlock(block int) { p.block = block }
 
 // Name implements Kernels.
 func (p *Parallel[T]) Name() string { return "parallel" }
@@ -43,73 +56,151 @@ func (p *Parallel[T]) Name() string { return "parallel" }
 // Workers implements Kernels.
 func (p *Parallel[T]) Workers() int { return p.workers }
 
-// parallelFor runs fn over [0,n) split into contiguous chunks, one per worker.
-func (p *Parallel[T]) parallelFor(n int, fn func(lo, hi int)) {
-	if n <= 0 {
+// rangeKernel is one sharded kernel call: its operands, by value, plus the
+// serial body over the item range [lo, hi).
+type rangeKernel interface{ run(lo, hi int) }
+
+// parallelFor runs k over [0,n) split into ceil(n/workers) contiguous bands,
+// one goroutine per band, and returns when all are done. With one worker, or
+// fewer than minSize items, it runs k.run(0, n) inline. k is a plain value
+// whose body is a method, not a closure — a func literal in a generic kernel
+// captures the instantiation's type dictionary and is heap-allocated where it
+// is built — so the serial path allocates nothing; only the sharded branch
+// pays for goroutines.
+func parallelFor[K rangeKernel](workers, n, minSize int, k K) {
+	workers = min(workers, n)
+	if workers <= 1 || n < minSize {
+		k.run(0, n)
 		return
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
+	// The goroutines capture shared, not k: a large k captured directly
+	// would move to the heap on entry, serial path included.
+	shared := k
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for lo := 0; lo < n; lo += chunk {
+		lo, hi := lo, min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			shared.run(lo, hi)
+		}()
 	}
 	wg.Wait()
 }
 
-// MatMul implements Kernels.
-func (p *Parallel[T]) MatMul(dst, a, b *tensor.Dense[T]) {
-	tensor.MatMulParallel(dst, a, b, p.block, p.workers)
+// The sharded kernels of this backend, one operand set each.
+type (
+	matMulOp[T tensor.Float]    struct{ dst, a, b *tensor.Dense[T] }
+	matMulATBOp[T tensor.Float] matMulOp[T] // sharded by dst row
+	addBiasOp[T tensor.Float]   struct {
+		m    *tensor.Dense[T]
+		bias []T
+	}
+	softmaxOp[T tensor.Float] struct {
+		m             *tensor.Dense[T]
+		groups, width int
+		temperature   float64
+	}
+	lerpOp[T tensor.Float] struct {
+		dst, src []T
+		t        T
+	}
+	// gatherOp is OneHotMatMul, or OneHotMatMulSparse when bi is set.
+	gatherOp[T tensor.Float] struct {
+		dst, w *tensor.Dense[T]
+		idx    [][]int32
+		bi     *tensor.BlockIndex
+	}
+	// traceOp is OneHotOuterLerp, or OneHotOuterLerpSparse when bi is set.
+	traceOp[T tensor.Float] struct {
+		cij, act *tensor.Dense[T]
+		idx      [][]int32
+		t        float64
+		bi       *tensor.BlockIndex
+	}
+	// weightOp is UpdateWeights, or UpdateWeightsSparse when bi is set.
+	weightOp[T tensor.Float] struct {
+		w, cij *tensor.Dense[T]
+		ci, cj []T
+		mask   []bool
+		geom   LayerGeom
+		eps    float64
+		bi     *tensor.BlockIndex
+	}
+)
+
+func (o matMulOp[T]) run(lo, hi int) {
+	tensor.MatMulBlockedRows(o.dst, o.a, o.b, tensor.DefaultBlock, lo, hi)
 }
 
-// MatMulATB implements Kernels.
+func (o matMulATBOp[T]) run(lo, hi int) { tensor.MatMulATBRows(o.dst, o.a, o.b, lo, hi) }
+
+func (o addBiasOp[T]) run(lo, hi int) { addBiasRange(o.m, o.bias, lo, hi) }
+
+func (o softmaxOp[T]) run(lo, hi int) {
+	tensor.SoftmaxGroupsRows(o.m, o.groups, o.width, o.temperature, lo, hi)
+}
+
+func (o lerpOp[T]) run(lo, hi int) { tensor.Lerp(o.dst[lo:hi], o.src[lo:hi], o.t) }
+
+func (o gatherOp[T]) run(lo, hi int) {
+	if o.bi != nil {
+		tensor.OneHotMatMulSparseRows(o.dst, o.idx, o.w, o.bi, lo, hi)
+		return
+	}
+	tensor.OneHotMatMulRows(o.dst, o.idx, o.w, lo, hi)
+}
+
+func (o traceOp[T]) run(lo, hi int) {
+	if o.bi != nil {
+		oneHotOuterLerpSparseRange(o.cij, o.idx, o.act, o.t, o.bi, lo, hi)
+		return
+	}
+	oneHotOuterLerpRange(o.cij, o.idx, o.act, o.t, lo, hi)
+}
+
+func (o weightOp[T]) run(lo, hi int) {
+	if o.bi != nil {
+		updateWeightsSparseRange(o.w, o.ci, o.cj, o.cij, o.bi, o.eps, lo, hi)
+		return
+	}
+	g := o.geom
+	updateWeightsRange(o.w, o.ci, o.cj, o.cij, o.mask, g.Fi, g.Mi, g.H, g.M, o.eps, lo, hi)
+}
+
+// MatMul implements Kernels.
+func (p *Parallel[T]) MatMul(dst, a, b *tensor.Dense[T]) {
+	parallelFor(p.workers, a.Rows, minGEMMRows, matMulOp[T]{dst, a, b})
+}
+
+// MatMulATB implements Kernels, sharded by dst row band (a band of a's
+// columns), so no worker writes another's rows.
 func (p *Parallel[T]) MatMulATB(dst, a, b *tensor.Dense[T]) {
-	tensor.MatMulATBParallel(dst, a, b, p.workers)
+	parallelFor(p.workers, dst.Rows, minATBRows, matMulATBOp[T]{dst, a, b})
 }
 
 // OneHotMatMul implements Kernels.
 func (p *Parallel[T]) OneHotMatMul(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T]) {
-	tensor.OneHotMatMulParallel(dst, idx, w, p.workers)
+	parallelFor(p.workers, len(idx), minBatchRows, gatherOp[T]{dst: dst, w: w, idx: idx})
 }
 
-// AddBias implements Kernels. The serial case skips parallelFor entirely:
-// the closure it would take captures m and bias and escapes to the heap,
-// which is the difference between 0 and 2 allocs/op on the predict hot path.
+// AddBias implements Kernels.
 func (p *Parallel[T]) AddBias(m *tensor.Dense[T], bias []T) {
-	if p.workers <= 1 || m.Rows <= 1 {
-		addBiasRange(m, bias, 0, m.Rows)
-		return
-	}
-	p.parallelFor(m.Rows, func(lo, hi int) { addBiasRange(m, bias, lo, hi) })
+	parallelFor(p.workers, m.Rows, minBatchRows, addBiasOp[T]{m, bias})
 }
 
 // SoftmaxGroups implements Kernels.
 func (p *Parallel[T]) SoftmaxGroups(m *tensor.Dense[T], groups, width int, temperature float64) {
-	tensor.SoftmaxGroupsParallel(m, groups, width, temperature, p.workers)
+	parallelFor(p.workers, m.Rows, minBatchRows, softmaxOp[T]{m, groups, width, temperature})
 }
 
 // Lerp implements Kernels.
 func (p *Parallel[T]) Lerp(dst, src []T, t float64) {
-	tensor.LerpParallel(dst, src, T(t), p.workers)
+	if len(dst) != len(src) {
+		panic("backend: Lerp length mismatch")
+	}
+	parallelFor(p.workers, len(dst), minLerpElems, lerpOp[T]{dst, src, T(t)})
 }
 
 // LerpMatrix implements Kernels.
@@ -117,7 +208,7 @@ func (p *Parallel[T]) LerpMatrix(dst, src *tensor.Dense[T], t float64) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("backend: LerpMatrix shape mismatch")
 	}
-	tensor.LerpParallel(dst.Data, src.Data, T(t), p.workers)
+	p.Lerp(dst.Data, src.Data, t)
 }
 
 // OneHotMeanLerp implements Kernels. The Ci trace is short (total input
@@ -130,27 +221,19 @@ func (p *Parallel[T]) OneHotMeanLerp(ci []T, idx [][]int32, t float64) {
 // the model (inputs × hidden units); it is sharded by trace row band so each
 // worker owns a disjoint slice and no locking is needed.
 func (p *Parallel[T]) OneHotOuterLerp(cij *tensor.Dense[T], idx [][]int32, act *tensor.Dense[T], t float64) {
-	if len(idx) == 0 {
-		return
-	}
-	p.parallelFor(cij.Rows, func(lo, hi int) {
-		oneHotOuterLerpRange(cij, idx, act, t, lo, hi)
-	})
+	parallelFor(p.workers, cij.Rows, 1, traceOp[T]{cij: cij, act: act, idx: idx, t: t})
 }
 
 // OuterLerp implements Kernels.
 func (p *Parallel[T]) OuterLerp(cij *tensor.Dense[T], a, b *tensor.Dense[T], t float64) {
-	outerLerp(cij, a, b, t, func(dst, x, y *tensor.Dense[T]) {
-		tensor.MatMulATBParallel(dst, x, y, p.workers)
-	})
+	outerLerp(cij, a, b, t, p.MatMulATB)
 }
 
 // UpdateWeights implements Kernels.
 func (p *Parallel[T]) UpdateWeights(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
 	mask []bool, fi, mi, h, m int, eps float64) {
-	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsRange(w, ci, cj, cij, mask, fi, mi, h, m, eps, lo, hi)
-	})
+	parallelFor(p.workers, w.Rows, 1, weightOp[T]{w: w, cij: cij, ci: ci, cj: cj, mask: mask,
+		geom: LayerGeom{fi, mi, h, m}, eps: eps})
 }
 
 // UpdateBias implements Kernels.
@@ -161,7 +244,7 @@ func (p *Parallel[T]) UpdateBias(bias, kbi, cj []T, eps float64) {
 // OneHotMatMulSparse implements Kernels.
 func (p *Parallel[T]) OneHotMatMulSparse(dst *tensor.Dense[T], idx [][]int32, w *tensor.Dense[T],
 	bi *tensor.BlockIndex) {
-	tensor.OneHotMatMulSparseParallel(dst, idx, w, bi, p.workers)
+	parallelFor(p.workers, len(idx), minBatchRows, gatherOp[T]{dst, w, idx, bi})
 }
 
 // OneHotOuterLerpSparse implements Kernels. Sharded by trace row band like
@@ -170,18 +253,11 @@ func (p *Parallel[T]) OneHotMatMulSparse(dst *tensor.Dense[T], idx [][]int32, w 
 // any worker count.
 func (p *Parallel[T]) OneHotOuterLerpSparse(cij *tensor.Dense[T], idx [][]int32,
 	act *tensor.Dense[T], t float64, bi *tensor.BlockIndex) {
-	if len(idx) == 0 {
-		return
-	}
-	p.parallelFor(cij.Rows, func(lo, hi int) {
-		oneHotOuterLerpSparseRange(cij, idx, act, t, bi, lo, hi)
-	})
+	parallelFor(p.workers, cij.Rows, 1, traceOp[T]{cij, act, idx, t, bi})
 }
 
 // UpdateWeightsSparse implements Kernels.
 func (p *Parallel[T]) UpdateWeightsSparse(w *tensor.Dense[T], ci, cj []T, cij *tensor.Dense[T],
 	bi *tensor.BlockIndex, eps float64) {
-	p.parallelFor(w.Rows, func(lo, hi int) {
-		updateWeightsSparseRange(w, ci, cj, cij, bi, eps, lo, hi)
-	})
+	parallelFor(p.workers, w.Rows, 1, weightOp[T]{w: w, cij: cij, ci: ci, cj: cj, eps: eps, bi: bi})
 }

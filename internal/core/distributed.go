@@ -14,9 +14,10 @@ import (
 // allreduce-mean per epoch (there is no gradient to synchronize every step).
 //
 // All ranks start from the identical seed, so their initial layers are
-// bit-identical; after every trace allreduce the structural-plasticity
-// update is a deterministic function of identical traces, which keeps the
-// masks synchronized without any extra communication.
+// bit-identical, and every trace allreduce keeps them so. The end-of-epoch
+// structural update may draw from the RNG (the TargetSparsity prune/regrow
+// schedule regrows at random), so rank 0 broadcasts the resulting mask and
+// joint trace.
 //
 // The trainer owns all replicas inside one process and drives them over an
 // in-process mpi.World (chan by default; assign a NewTCPWorld to exercise
@@ -110,6 +111,28 @@ func allreduceClassifier(c *mpi.Comm, cl *Classifier) error {
 	return nil
 }
 
+// broadcastStructure makes rank 0's mask and joint trace authoritative on
+// every rank (the mask travels as 0/1 floats), then re-derives parameters.
+func broadcastStructure(c *mpi.Comm, l *HiddenLayer) error {
+	mask := make([]float64, len(l.Mask))
+	for i, on := range l.Mask {
+		if on {
+			mask[i] = 1
+		}
+	}
+	if err := c.Broadcast(0, mask); err != nil {
+		return err
+	}
+	if err := c.Broadcast(0, l.Cij.Data); err != nil {
+		return err
+	}
+	for i, v := range mask {
+		l.Mask[i] = v == 1
+	}
+	l.refreshParameters()
+	return nil
+}
+
 // TrainRank runs one rank's side of distributed training over any fabric —
 // the SPMD body shared by the in-process trainer and the per-process ranks
 // cmd/streambrain-dist forks. n must have been built from DistributedParams
@@ -121,8 +144,9 @@ func allreduceClassifier(c *mpi.Comm, cl *Classifier) error {
 // Each unsupervised epoch runs the same number of local batches on every
 // rank (the global minimum, agreed via an allreduce-min, so collectives
 // always pair up; remainder batches are dropped), allreduce-merging the
-// hidden traces every mergeEvery batches, then the (deterministic,
-// replica-identical) structural update. The supervised phase merges the
+// hidden traces every mergeEvery batches, then the same end-of-epoch
+// structural update as TrainUnsupervised, with rank 0's resulting mask and
+// joint trace broadcast to every rank. The supervised phase merges the
 // classifier traces once per epoch. Threshold calibration is a local
 // decision and stays with the caller (rank 0 calibrates on its shard).
 func TrainRank(c *mpi.Comm, n *Network, shard *data.Encoded,
@@ -191,7 +215,13 @@ func TrainRank(c *mpi.Comm, n *Network, shard *data.Encoded,
 			return err
 		}
 		n.Hidden.refreshParameters()
-		n.Hidden.StructuralUpdate()
+		n.structuralStep(e, unsupEpochs)
+		// Prune/regrow draws from each rank's own RNG stream, which the
+		// shard shuffles advanced by different amounts: rank 0's
+		// structure is the world's.
+		if err := broadcastStructure(c, n.Hidden); err != nil {
+			return err
+		}
 	}
 	cl, isBCPNN := n.Out.(*Classifier)
 	for e := 0; e < supEpochs; e++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"streambrain/internal/backend"
 	"streambrain/internal/mpi"
 )
 
@@ -163,6 +164,52 @@ func TestDistributedTCPMatchesChanBitExact(t *testing.T) {
 	for j := range chanNet.Hidden.Cj {
 		if tcpNet.Hidden.Cj[j] != chanNet.Hidden.Cj[j] {
 			t.Fatalf("tcp Cj diverged at %d", j)
+		}
+	}
+}
+
+// TestDistributedFollowsTargetSparsity: under TargetSparsity the ranks run
+// the same prune/regrow schedule as TrainUnsupervised, so a 2-rank world on
+// an odd row count (uneven shards, so the ranks' RNG streams diverge) ends
+// at the single-rank K with identical masks and joint traces on every rank.
+func TestDistributedFollowsTargetSparsity(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	p := smallParams()
+	p.ReceptiveField = 0.75
+	p.TargetSparsity = 0.75
+	const fi, mi, epochs = 8, 4, 3
+	train := synthEncoded(rng, 801, fi, mi, []int{1, 5}, 0.1)
+
+	single := NewNetwork(backend.MustNew("naive", 1), fi, mi, 2, p)
+	single.TrainUnsupervised(train, epochs)
+	wantK := single.Hidden.K
+	if wantK != 2 {
+		t.Fatalf("single-rank K = %d, want 2 (the schedule's target)", wantK)
+	}
+
+	dt := NewDistributedTrainer(2, "naive", 1, fi, mi, 2, p, train)
+	if _, err := dt.Train(epochs, 0); err != nil {
+		t.Fatal(err)
+	}
+	nets := dt.Networks()
+	ref := nets[0].Hidden
+	for r, n := range nets {
+		l := n.Hidden
+		if l.K != wantK {
+			t.Fatalf("rank %d K = %d, want single-rank %d", r, l.K, wantK)
+		}
+		if k, ok := uniformK(l.Mask, l.Fi, l.H); !ok || k != wantK {
+			t.Fatalf("rank %d mask holds K=%d (uniform %v), want %d per HCU", r, k, ok, wantK)
+		}
+		for i := range ref.Mask {
+			if l.Mask[i] != ref.Mask[i] {
+				t.Fatalf("rank %d mask diverged at %d", r, i)
+			}
+		}
+		for i, v := range ref.Cij.Data {
+			if l.Cij.Data[i] != v {
+				t.Fatalf("rank %d Cij diverged at %d", r, i)
+			}
 		}
 	}
 }

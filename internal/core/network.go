@@ -94,14 +94,7 @@ func (n *Network) TrainUnsupervised(train *data.Encoded, epochs int, hooks ...Ep
 		train.Batches(n.p.BatchSize, n.rng, func(idx [][]int32, _ []int) {
 			n.Hidden.TrainBatch(idx)
 		})
-		if n.p.TargetSparsity > 0 {
-			// The sparse regime replaces the MI exchange with the usage-
-			// driven prune/regrow schedule: K anneals toward the target
-			// sparsity, shrinking the active block set the kernels walk.
-			n.Hidden.PruneRegrow(n.sparsityTargetK(e+1, epochs), n.p.SwapsPerEpoch)
-		} else {
-			n.Hidden.StructuralUpdate()
-		}
+		n.structuralStep(e, epochs)
 		n.TrainTime += time.Since(start)
 		start = time.Now()
 		for _, hook := range hooks {
@@ -109,6 +102,19 @@ func (n *Network) TrainUnsupervised(train *data.Encoded, epochs int, hooks ...Ep
 		}
 	}
 	n.Hidden.SetNoise(0)
+}
+
+// structuralStep runs the end-of-epoch structural update of unsupervised
+// epoch e (0-based) of epochs. The sparse regime replaces the MI exchange
+// with the usage-driven prune/regrow schedule: K anneals toward the target
+// sparsity, shrinking the active block set the kernels walk. Regrowth draws
+// from the layer RNG.
+func (n *Network) structuralStep(e, epochs int) {
+	if n.p.TargetSparsity > 0 {
+		n.Hidden.PruneRegrow(n.sparsityTargetK(e+1, epochs), n.p.SwapsPerEpoch)
+		return
+	}
+	n.Hidden.StructuralUpdate()
 }
 
 // sparsityTargetK returns the per-HCU active-connection count the prune/

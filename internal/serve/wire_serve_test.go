@@ -373,3 +373,34 @@ func TestCorePredictIntoMatchesPredict(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictPooledAllocsOnWorkerTeam: on a 2-worker parallel backend, the
+// serving batch sizes below every kernel's sharding minimum run their
+// kernels inline, so the pooled predict path stays allocation-free at 1, 2
+// and 3 events — no goroutine or closure per kernel for a tiny batch.
+func TestPredictPooledAllocsOnWorkerTeam(t *testing.T) {
+	net, enc, testDS := trainTiny(t, false, 52)
+	var buf bytes.Buffer
+	if err := SaveBundle(&buf, net, enc); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBundle(bytes.NewReader(buf.Bytes()), backend.MustNew("parallel", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, events := range []int{1, 2, 3} {
+		rows := rawRows(testDS, events)
+		var sc Scratch
+		pred := make([]int, events)
+		score := make([]float64, events)
+		step := func() {
+			if _, err := b.PredictPooled(rows, pred, score, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // warm the scratch
+		if n := testing.AllocsPerRun(50, step); n != 0 {
+			t.Errorf("%d-event batch: %.1f allocs/op, want 0", events, n)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // BlockIndex is the compressed form of a receptive-field mask (DESIGN.md §15):
 // a CSR index over the Fi×H grid of (input hypercolumn, hidden hypercolumn)
@@ -128,18 +125,22 @@ func checkBlockIndex[T Float](b *BlockIndex, m *Dense[T]) {
 // skipped additions are additions of +0 — the sparse support is bit-identical
 // to the dense one while paying only Density() of the gather traffic.
 func OneHotMatMulSparse[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], bi *BlockIndex) {
+	OneHotMatMulSparseRows(dst, idx, w, bi, 0, len(idx))
+}
+
+// OneHotMatMulSparseRows is OneHotMatMulSparse restricted to samples [r0, r1).
+func OneHotMatMulSparseRows[T Float](dst *Dense[T], idx [][]int32, w *Dense[T],
+	bi *BlockIndex, r0, r1 int) {
 	if dst.Rows != len(idx) || dst.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: OneHotMatMulSparse shape mismatch dst %dx%d, idx %d, w %dx%d",
 			dst.Rows, dst.Cols, len(idx), w.Rows, w.Cols))
 	}
 	checkBlockIndex(bi, w)
 	n, m := w.Cols, bi.M
-	for s, active := range idx {
+	for s := r0; s < r1; s++ {
 		drow := dst.Row(s)
-		for i := range drow {
-			drow[i] = 0
-		}
-		for _, in := range active {
+		clear(drow)
+		for _, in := range idx[s] {
 			wrow := w.Data[int(in)*n : int(in)*n+n]
 			for _, h := range bi.Active(int(in) / bi.Mi) {
 				o := int(h) * m
@@ -147,35 +148,4 @@ func OneHotMatMulSparse[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], bi *
 			}
 		}
 	}
-}
-
-// OneHotMatMulSparseParallel parallelizes OneHotMatMulSparse over the batch.
-func OneHotMatMulSparseParallel[T Float](dst *Dense[T], idx [][]int32, w *Dense[T],
-	bi *BlockIndex, workers int) {
-	if workers <= 1 || len(idx) < 4 {
-		OneHotMatMulSparse(dst, idx, w, bi)
-		return
-	}
-	if dst.Rows != len(idx) || dst.Cols != w.Cols {
-		panic("tensor: OneHotMatMulSparseParallel shape mismatch")
-	}
-	checkBlockIndex(bi, w)
-	var wg sync.WaitGroup
-	rows := len(idx)
-	chunk := (rows + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		r0 := wk * chunk
-		if r0 >= rows {
-			break
-		}
-		r1 := min(r0+chunk, rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			sub := &Dense[T]{Rows: r1 - r0, Cols: dst.Cols,
-				Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}
-			OneHotMatMulSparse(sub, idx[r0:r1], w, bi)
-		}(r0, r1)
-	}
-	wg.Wait()
 }

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // DefaultBlock is the cache-block edge used by the blocked GEMM kernels.
 // 64×64 float64 tiles are 32 KiB — sized for a typical L1d cache (float32
@@ -48,20 +45,23 @@ func MatMulNaive[T Float](dst, a, b *Dense[T]) {
 // edge. block <= 0 selects DefaultBlock. The kernel accumulates into dst
 // tiles that stay resident in L1 while streaming panels of a and b.
 func MatMulBlocked[T Float](dst, a, b *Dense[T], block int) {
+	MatMulBlockedRows(dst, a, b, block, 0, a.Rows)
+}
+
+// MatMulBlockedRows is MatMulBlocked restricted to dst rows [r0, r1): it
+// zeroes and computes only that band, so disjoint bands can run on separate
+// workers. Every element's accumulation order is independent of the band
+// split, so banded results are bit-identical to the whole-matrix call. The
+// innermost j sweep is the fused two-row axpy2 microkernel, which dispatches
+// to AVX2+FMA when available — there float32 processes twice the lanes per
+// instruction, which is the entire hardware case for the reduced-precision
+// path.
+func MatMulBlockedRows[T Float](dst, a, b *Dense[T], block, r0, r1 int) {
 	checkGEMM(dst, a, b)
 	if block <= 0 {
 		block = DefaultBlock
 	}
-	dst.Zero()
-	matMulBlockedRange(dst, a, b, block, 0, a.Rows)
-}
-
-// matMulBlockedRange runs the blocked kernel over dst rows [r0, r1).
-// It is the unit of work handed to GEMM workers. The innermost j sweep is
-// the fused two-row axpy2 microkernel, which dispatches to AVX2+FMA when
-// available — there float32 processes twice the lanes per instruction,
-// which is the entire hardware case for the reduced-precision path.
-func matMulBlockedRange[T Float](dst, a, b *Dense[T], block, r0, r1 int) {
+	clear(dst.Data[r0*dst.Cols : r1*dst.Cols])
 	k, n := a.Cols, b.Cols
 	for ii := r0; ii < r1; ii += block {
 		iMax := min(ii+block, r1)
@@ -99,105 +99,33 @@ func matMulBlockedRange[T Float](dst, a, b *Dense[T], block, r0, r1 int) {
 	}
 }
 
-// MatMulParallel computes dst = a·b by splitting dst rows across `workers`
-// goroutines, each running the blocked kernel over its row band. workers <= 1
-// degrades to the serial blocked kernel.
-func MatMulParallel[T Float](dst, a, b *Dense[T], block, workers int) {
-	checkGEMM(dst, a, b)
-	if block <= 0 {
-		block = DefaultBlock
-	}
-	// blk is a single-assignment copy: the goroutine closure below must not
-	// capture a reassigned variable, or the compiler captures it by
-	// reference and heap-allocates the cell at function entry — one alloc
-	// per call even on the serial branch, which the predict hot path runs
-	// at zero allocations.
-	blk := block
-	if workers <= 1 || a.Rows < 2*blk {
-		dst.Zero()
-		matMulBlockedRange(dst, a, b, blk, 0, a.Rows)
-		return
-	}
-	dst.Zero()
-	var wg sync.WaitGroup
-	rows := a.Rows
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		if r0 >= rows {
-			break
-		}
-		r1 := min(r0+chunk, rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			matMulBlockedRange(dst, a, b, blk, r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
-}
-
 // MatMulATB computes dst = aᵀ·b without materializing the transpose.
 // a is m×r, b is m×n, dst is r×n. This is the shape of the BCPNN joint-trace
 // update E[x πᵀ] where a holds a batch of inputs and b a batch of activations.
 func MatMulATB[T Float](dst, a, b *Dense[T]) {
+	MatMulATBRows(dst, a, b, 0, dst.Rows)
+}
+
+// MatMulATBRows is MatMulATB restricted to dst rows [r0, r1) — a band of a's
+// columns — so disjoint bands can accumulate on separate workers without
+// synchronization; a and b are read-only.
+func MatMulATBRows[T Float](dst, a, b *Dense[T], r0, r1 int) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB shape mismatch dst %dx%d = aT %dx%d * b %dx%d",
 			dst.Rows, dst.Cols, a.Cols, a.Rows, b.Rows, b.Cols))
 	}
-	dst.Zero()
 	n := b.Cols
+	clear(dst.Data[r0*n : r1*n])
 	for s := 0; s < a.Rows; s++ {
-		arow := a.Row(s)
+		arow := a.Row(s)[r0:r1]
 		brow := b.Row(s)
 		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			axpyDispatch(av, brow, dst.Data[i*n:i*n+n])
+			axpyDispatch(av, brow, dst.Row(r0+i))
 		}
 	}
-}
-
-// MatMulATBParallel is MatMulATB with the accumulation parallelized over dst
-// rows. Each worker owns a band of dst rows (a band of a's columns), so no
-// synchronization on dst is needed; a and b are read-only.
-func MatMulATBParallel[T Float](dst, a, b *Dense[T], workers int) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("tensor: MatMulATBParallel shape mismatch")
-	}
-	if workers <= 1 || dst.Rows < 64 {
-		MatMulATB(dst, a, b)
-		return
-	}
-	dst.Zero()
-	n := b.Cols
-	cols := a.Cols
-	chunk := (cols + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		c0 := w * chunk
-		if c0 >= cols {
-			break
-		}
-		c1 := min(c0+chunk, cols)
-		wg.Add(1)
-		go func(c0, c1 int) {
-			defer wg.Done()
-			for s := 0; s < a.Rows; s++ {
-				arow := a.Row(s)
-				brow := b.Row(s)
-				for i := c0; i < c1; i++ {
-					av := arow[i]
-					if av == 0 {
-						continue
-					}
-					axpyDispatch(av, brow, dst.Data[i*n:i*n+n])
-				}
-			}
-		}(c0, c1)
-	}
-	wg.Wait()
 }
 
 // OneHotMatMul computes dst = X·W where X is a batch of concatenated one-hot
@@ -207,54 +135,21 @@ func MatMulATBParallel[T Float](dst, a, b *Dense[T], workers int) {
 // input GEMM into len(idx[s]) row gathers per sample, the optimization the
 // StreamBrain paper attributes to the quantile one-hot encoding (§V).
 func OneHotMatMul[T Float](dst *Dense[T], idx [][]int32, w *Dense[T]) {
+	OneHotMatMulRows(dst, idx, w, 0, len(idx))
+}
+
+// OneHotMatMulRows is OneHotMatMul restricted to samples [r0, r1).
+func OneHotMatMulRows[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], r0, r1 int) {
 	if dst.Rows != len(idx) || dst.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: OneHotMatMul shape mismatch dst %dx%d, idx %d, w %dx%d",
 			dst.Rows, dst.Cols, len(idx), w.Rows, w.Cols))
 	}
 	n := w.Cols
-	for s, active := range idx {
+	for s := r0; s < r1; s++ {
 		drow := dst.Row(s)
-		for i := range drow {
-			drow[i] = 0
-		}
-		for _, in := range active {
+		clear(drow)
+		for _, in := range idx[s] {
 			addDispatch(drow, w.Data[int(in)*n:int(in)*n+n])
 		}
 	}
-}
-
-// OneHotMatMulParallel parallelizes OneHotMatMul over the batch dimension.
-func OneHotMatMulParallel[T Float](dst *Dense[T], idx [][]int32, w *Dense[T], workers int) {
-	if workers <= 1 || len(idx) < 4 {
-		OneHotMatMul(dst, idx, w)
-		return
-	}
-	if dst.Rows != len(idx) || dst.Cols != w.Cols {
-		panic("tensor: OneHotMatMulParallel shape mismatch")
-	}
-	var wg sync.WaitGroup
-	rows := len(idx)
-	chunk := (rows + workers - 1) / workers
-	for wk := 0; wk < workers; wk++ {
-		r0 := wk * chunk
-		if r0 >= rows {
-			break
-		}
-		r1 := min(r0+chunk, rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			sub := &Dense[T]{Rows: r1 - r0, Cols: dst.Cols,
-				Data: dst.Data[r0*dst.Cols : r1*dst.Cols]}
-			OneHotMatMul(sub, idx[r0:r1], w)
-		}(r0, r1)
-	}
-	wg.Wait()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -74,21 +74,6 @@ func TestBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, workers := range []int{1, 2, 3, 8} {
-		a := randMatrix(rng, 150, 70)
-		b := randMatrix(rng, 70, 90)
-		want := NewMatrix(150, 90)
-		MatMulNaive(want, a, b)
-		got := NewMatrix(150, 90)
-		MatMulParallel(got, a, b, 32, workers)
-		if d := got.MaxAbsDiff(want); d > gemmTol {
-			t.Fatalf("workers=%d: max diff %g", workers, d)
-		}
-	}
-}
-
 func TestMatMulATBMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randMatrix(rng, 40, 17)
@@ -99,11 +84,6 @@ func TestMatMulATBMatchesExplicitTranspose(t *testing.T) {
 	MatMulATB(got, a, b)
 	if d := got.MaxAbsDiff(want); d > gemmTol {
 		t.Fatalf("ATB mismatch: %g", d)
-	}
-	gotP := NewMatrix(17, 23)
-	MatMulATBParallel(gotP, a, b, 4)
-	if d := gotP.MaxAbsDiff(want); d > gemmTol {
-		t.Fatalf("ATB parallel mismatch: %g", d)
 	}
 }
 
@@ -157,11 +137,6 @@ func TestOneHotMatMulMatchesDense(t *testing.T) {
 	if d := got.MaxAbsDiff(want); d > gemmTol {
 		t.Fatalf("one-hot mismatch: %g", d)
 	}
-	gotP := NewMatrix(batch, out)
-	OneHotMatMulParallel(gotP, idx, w, 4)
-	if d := gotP.MaxAbsDiff(want); d > gemmTol {
-		t.Fatalf("one-hot parallel mismatch: %g", d)
-	}
 }
 
 func TestOneHotMatMulEmptyActives(t *testing.T) {
@@ -176,17 +151,75 @@ func TestOneHotMatMulEmptyActives(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelSmallFallback(t *testing.T) {
-	// Rows smaller than 2*block must fall back to the serial path and still
-	// be correct.
+// TestRowsFormsComposeToWhole pins the contract worker teams rely on: every
+// *Rows kernel run over uneven disjoint bands reproduces the whole-matrix
+// kernel bit for bit, because a band split never changes an element's
+// arithmetic.
+func TestRowsFormsComposeToWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a := randMatrix(rng, 3, 5)
-	b := randMatrix(rng, 5, 4)
-	want := NewMatrix(3, 4)
-	MatMulNaive(want, a, b)
-	got := NewMatrix(3, 4)
-	MatMulParallel(got, a, b, 64, 8)
-	if d := got.MaxAbsDiff(want); d > gemmTol {
-		t.Fatalf("small fallback mismatch: %g", d)
+	const rows, k, n = 23, 70, 45
+	bands := [][2]int{{0, 5}, {5, 6}, {6, 17}, {17, rows}}
+	check := func(name string, want, got *Matrix) {
+		t.Helper()
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%s: banded result differs at %d", name, i)
+			}
+		}
 	}
+
+	a := randMatrix(rng, rows, k)
+	b := randMatrix(rng, k, n)
+	want, got := NewMatrix(rows, n), NewMatrix(rows, n)
+	MatMulBlocked(want, a, b, 16)
+	got.Fill(99)
+	for _, bd := range bands {
+		MatMulBlockedRows(got, a, b, 16, bd[0], bd[1])
+	}
+	check("MatMulBlockedRows", want, got)
+
+	x := randMatrix(rng, 31, rows)
+	y := randMatrix(rng, 31, n)
+	MatMulATB(want, x, y)
+	got.Fill(99)
+	for _, bd := range bands {
+		MatMulATBRows(got, x, y, bd[0], bd[1])
+	}
+	check("MatMulATBRows", want, got)
+
+	const fi, mi, h, m = 7, 10, 5, 9
+	w := randMatrix(rng, fi*mi, h*m)
+	idx := make([][]int32, rows)
+	for s := range idx {
+		for g := 0; g < fi; g++ {
+			idx[s] = append(idx[s], int32(g*mi+rng.Intn(mi)))
+		}
+	}
+	mask := make([]bool, fi*h)
+	for i := range mask {
+		mask[i] = rng.Intn(2) == 0
+	}
+	bi := NewBlockIndex(mask, fi, mi, h, m)
+	want, got = NewMatrix(rows, h*m), NewMatrix(rows, h*m)
+	OneHotMatMul(want, idx, w)
+	got.Fill(99)
+	for _, bd := range bands {
+		OneHotMatMulRows(got, idx, w, bd[0], bd[1])
+	}
+	check("OneHotMatMulRows", want, got)
+	OneHotMatMulSparse(want, idx, w, bi)
+	got.Fill(99)
+	for _, bd := range bands {
+		OneHotMatMulSparseRows(got, idx, w, bi, bd[0], bd[1])
+	}
+	check("OneHotMatMulSparseRows", want, got)
+
+	src := randMatrix(rng, rows, h*m)
+	want.CopyFrom(src)
+	got.CopyFrom(src)
+	SoftmaxGroups(want, h, m, 0.8)
+	for _, bd := range bands {
+		SoftmaxGroupsRows(got, h, m, 0.8, bd[0], bd[1])
+	}
+	check("SoftmaxGroupsRows", want, got)
 }

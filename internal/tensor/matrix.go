@@ -1,12 +1,13 @@
 // Package tensor provides the dense linear-algebra substrate used by every
 // StreamBrain-Go backend: a row-major matrix type generic over the element
-// precision (float64 | float32), cache-blocked and parallel GEMM kernels, and
+// precision (float64 | float32), cache-blocked GEMM kernels, and
 // the fused vector primitives the BCPNN learning rule is built from.
 //
 // The package is deliberately free of dependencies (stdlib only) and free of
-// hidden global state: parallel kernels take an explicit worker count so the
-// compute backends in internal/backend can own their thread budget, mirroring
-// the way StreamBrain's OpenMP backend owns its thread team.
+// hidden global state, and it is serial: kernels that a worker team shards
+// have a *Rows form over a contiguous row band, and the compute backends in
+// internal/backend own the worker fan-out (DESIGN.md §2), mirroring the way
+// StreamBrain's OpenMP backend owns its thread team.
 //
 // Precision (DESIGN.md §9): every kernel is generic over Float, so the same
 // source instantiates the float64 reference path and the float32 reduced-

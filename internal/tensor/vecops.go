@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Axpy computes y += alpha*x element-wise. Slices must have equal length.
 func Axpy[T Float](alpha T, x, y []T) {
@@ -65,34 +62,6 @@ func Lerp[T Float](dst, src []T, t T) {
 	lerpDispatch(dst, src, 1-t, t)
 }
 
-// LerpParallel is Lerp split across `workers` goroutines; used by the
-// parallel backend for the large Cij trace (inputs × units).
-func LerpParallel[T Float](dst, src []T, t T, workers int) {
-	if workers <= 1 || len(dst) < 1<<14 {
-		Lerp(dst, src, t)
-		return
-	}
-	if len(dst) != len(src) {
-		panic("tensor: LerpParallel length mismatch")
-	}
-	var wg sync.WaitGroup
-	n := len(dst)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			Lerp(dst[lo:hi], src[lo:hi], t)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // SoftmaxRow computes, in place, the softmax of x with temperature T.
 // It is max-subtracted for numerical stability; T <= 0 selects T = 1.
 // The float32 instantiation exponentiates with the reduced-precision Exp32
@@ -149,46 +118,20 @@ func SoftmaxRow[T Float](x []T, temperature float64) {
 // consecutive segments of length `width` in every row of m. This is the
 // per-hypercolumn softmax: each HCU's MCU activities form a probability mass.
 func SoftmaxGroups[T Float](m *Dense[T], groups, width int, temperature float64) {
+	SoftmaxGroupsRows(m, groups, width, temperature, 0, m.Rows)
+}
+
+// SoftmaxGroupsRows is SoftmaxGroups restricted to rows [r0, r1).
+func SoftmaxGroupsRows[T Float](m *Dense[T], groups, width int, temperature float64, r0, r1 int) {
 	if groups*width != m.Cols {
 		panic("tensor: SoftmaxGroups groups*width != cols")
 	}
-	for r := 0; r < m.Rows; r++ {
+	for r := r0; r < r1; r++ {
 		row := m.Row(r)
 		for g := 0; g < groups; g++ {
 			SoftmaxRow(row[g*width:(g+1)*width], temperature)
 		}
 	}
-}
-
-// SoftmaxGroupsParallel parallelizes SoftmaxGroups over rows.
-func SoftmaxGroupsParallel[T Float](m *Dense[T], groups, width int, temperature float64, workers int) {
-	if workers <= 1 || m.Rows < 4 {
-		SoftmaxGroups(m, groups, width, temperature)
-		return
-	}
-	if groups*width != m.Cols {
-		panic("tensor: SoftmaxGroupsParallel groups*width != cols")
-	}
-	var wg sync.WaitGroup
-	chunk := (m.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		if r0 >= m.Rows {
-			break
-		}
-		r1 := min(r0+chunk, m.Rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			for r := r0; r < r1; r++ {
-				row := m.Row(r)
-				for g := 0; g < groups; g++ {
-					SoftmaxRow(row[g*width:(g+1)*width], temperature)
-				}
-			}
-		}(r0, r1)
-	}
-	wg.Wait()
 }
 
 // ColMeans computes the per-column mean of m into dst (length m.Cols).

@@ -76,25 +76,6 @@ func TestLerpConvergence(t *testing.T) {
 	}
 }
 
-func TestLerpParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 1 << 15
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = rng.Float64()
-		b[i] = rng.Float64()
-	}
-	a2 := append([]float64(nil), a...)
-	Lerp(a, b, 0.3)
-	LerpParallel(a2, b, 0.3, 8)
-	for i := range a {
-		if math.Abs(a[i]-a2[i]) > 1e-15 {
-			t.Fatalf("parallel lerp mismatch at %d", i)
-		}
-	}
-}
-
 // TestSoftmaxIsDistribution: softmax output must be a probability mass —
 // non-negative, summing to 1 — for arbitrary finite inputs. Property test.
 func TestSoftmaxIsDistribution(t *testing.T) {
@@ -161,17 +142,6 @@ func TestSoftmaxGroupsIndependence(t *testing.T) {
 	}
 	if math.Abs(row[2]-0.5) > 1e-12 {
 		t.Fatalf("equal supports must give uniform group: %v", row)
-	}
-}
-
-func TestSoftmaxGroupsParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randMatrix(rng, 33, 12)
-	b := a.Clone()
-	SoftmaxGroups(a, 3, 4, 0.8)
-	SoftmaxGroupsParallel(b, 3, 4, 0.8, 8)
-	if d := a.MaxAbsDiff(b); d > 1e-15 {
-		t.Fatalf("parallel softmax mismatch: %g", d)
 	}
 }
 
