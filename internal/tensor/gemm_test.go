@@ -151,6 +151,45 @@ func TestOneHotMatMulEmptyActives(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesNaive shards a GEMM the way a worker team does —
+// ceil(rows/workers) contiguous row bands, each through MatMulBlockedRows —
+// and checks the assembled result against the reference kernel.
+func TestParallelMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, workers := range []int{1, 2, 3, 8} {
+		a := randMatrix(rng, 150, 70)
+		b := randMatrix(rng, 70, 90)
+		want := NewMatrix(150, 90)
+		MatMulNaive(want, a, b)
+		got := NewMatrix(150, 90)
+		got.Fill(99)
+		band := (150 + workers - 1) / workers
+		for lo := 0; lo < 150; lo += band {
+			MatMulBlockedRows(got, a, b, 32, lo, min(lo+band, 150))
+		}
+		if d := got.MaxAbsDiff(want); d > gemmTol {
+			t.Fatalf("workers=%d: max diff %g", workers, d)
+		}
+	}
+}
+
+// TestMatMulParallelSmallFallback covers the path a worker team takes for a
+// matrix below its minimum size: one band over all rows, with a block larger
+// than the matrix, must still be correct.
+func TestMatMulParallelSmallFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	a := randMatrix(rng, 3, 5)
+	b := randMatrix(rng, 5, 4)
+	want := NewMatrix(3, 4)
+	MatMulNaive(want, a, b)
+	got := NewMatrix(3, 4)
+	got.Fill(99)
+	MatMulBlockedRows(got, a, b, 64, 0, 3)
+	if d := got.MaxAbsDiff(want); d > gemmTol {
+		t.Fatalf("small fallback mismatch: %g", d)
+	}
+}
+
 // TestRowsFormsComposeToWhole pins the contract worker teams rely on: every
 // *Rows kernel run over uneven disjoint bands reproduces the whole-matrix
 // kernel bit for bit, because a band split never changes an element's
