@@ -1,16 +1,16 @@
 package tensor
 
+import "sync"
+
 // PoolOf recycles Dense buffers of one precision between training steps.
 // BCPNN training allocates several batch-sized temporaries per step
 // (supports, activations, batch means, the joint outer product); recycling
 // them keeps the hot loop allocation-free, which is the Go analogue of
 // StreamBrain's preallocated device buffers.
 //
-// A PoolOf is safe for concurrent use: it is the one shared structure of
-// this otherwise serial package, guarded by a one-slot channel (send
-// acquires, receive releases).
+// A PoolOf is safe for concurrent use.
 type PoolOf[T Float] struct {
-	lock  chan struct{}
+	mu    sync.Mutex
 	free  map[int][]*Dense[T]
 	hits  int64
 	total int64
@@ -24,26 +24,26 @@ func NewPool() *Pool { return NewPoolOf[float64]() }
 
 // NewPoolOf returns an empty pool of the given precision.
 func NewPoolOf[T Float]() *PoolOf[T] {
-	return &PoolOf[T]{lock: make(chan struct{}, 1), free: make(map[int][]*Dense[T])}
+	return &PoolOf[T]{free: make(map[int][]*Dense[T])}
 }
 
 // Get returns a zeroed rows×cols matrix, reusing a previously released buffer
 // of the same element count when available.
 func (p *PoolOf[T]) Get(rows, cols int) *Dense[T] {
 	n := rows * cols
-	p.lock <- struct{}{}
+	p.mu.Lock()
 	p.total++
 	list := p.free[n]
 	if len(list) > 0 {
 		m := list[len(list)-1]
 		p.free[n] = list[:len(list)-1]
 		p.hits++
-		<-p.lock
+		p.mu.Unlock()
 		m.Rows, m.Cols = rows, cols
 		m.Zero()
 		return m
 	}
-	<-p.lock
+	p.mu.Unlock()
 	return NewDense[T](rows, cols)
 }
 
@@ -53,16 +53,15 @@ func (p *PoolOf[T]) Put(m *Dense[T]) {
 		return
 	}
 	n := len(m.Data)
-	p.lock <- struct{}{}
+	p.mu.Lock()
 	p.free[n] = append(p.free[n], m)
-	<-p.lock
+	p.mu.Unlock()
 }
 
 // Stats reports (reuse hits, total Gets) since creation, for tests and the
 // allocation ablation bench.
 func (p *PoolOf[T]) Stats() (hits, total int64) {
-	p.lock <- struct{}{}
-	hits, total = p.hits, p.total
-	<-p.lock
-	return hits, total
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.total
 }
