@@ -361,6 +361,31 @@ func BenchmarkTraceUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkSoftmaxGroups is the hidden layer's per-hypercolumn softmax at
+// the train-dense geometry (batch 128 × 1 HCU of 1000 MCUs, float64): the
+// kernel behind the supervised phase's frozen forward pass and LayerStep's
+// first pass. Each iteration restores the supports first, since a softmax
+// of a softmax has an unrealistically narrow range.
+func BenchmarkSoftmaxGroups(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	const batch, units = 128, 1000
+	supports := tensor.NewMatrix(batch, units)
+	for i := range supports.Data {
+		supports.Data[i] = rng.NormFloat64() * 4
+	}
+	act := tensor.NewMatrix(batch, units)
+	for _, name := range []string{"naive", "parallel"} {
+		be := backend.MustNew(name, 0)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(act.Data, supports.Data)
+				be.SoftmaxGroups(act, 1, units, 1)
+			}
+		})
+	}
+}
+
 // BenchmarkLayerStep is the whole-layer offload ablation (DESIGN.md §14):
 // one fused LayerStep against the identical composed kernel sequence, serial
 // and with the full worker team. ReportAllocs pins the fused serial path's

@@ -118,9 +118,9 @@ func kernelsOf[T tensor.Float](name string, workers int) Kernels[T] {
 // copies of its inputs and returns every output, concatenated. At float64,
 // results must agree with the reference within the absolute bound tol64 (the
 // bound of the float64 test each check replaces); at float32, within 1e-4
-// relative to magnitude. Results of exact kernels must also match the same
-// backend's 1-worker result bit for bit.
-func conform[T tensor.Float](t *testing.T, what string, tol64 float64, exact bool, run func(k Kernels[T]) []T) {
+// relative to magnitude. Every result must also match the same backend's
+// 1-worker result bit for bit.
+func conform[T tensor.Float](t *testing.T, what string, tol64 float64, run func(k Kernels[T]) []T) {
 	t.Helper()
 	f32 := elemSize[T]() == 4
 	want := run(kernelsOf[T]("naive", 0))
@@ -140,7 +140,7 @@ func conform[T tensor.Float](t *testing.T, what string, tol64 float64, exact boo
 				if d := math.Abs(float64(v) - ref); d > bound {
 					t.Fatalf("%s %s/%d: output %d = %v, reference %v", what, name, workers, i, v, ref)
 				}
-				if exact && serial != nil && v != serial[i] {
+				if serial != nil && v != serial[i] {
 					t.Fatalf("%s %s/%d: output %d = %v, 1-worker %v", what, name, workers, i, v, serial[i])
 				}
 			}
@@ -165,7 +165,7 @@ func conformMatMul[T tensor.Float](t *testing.T) {
 	for _, rows := range []int{37, 261} {
 		a := randDense[T](rng, rows, 53)
 		b := randDense[T](rng, 53, 29)
-		conform(t, fmt.Sprintf("MatMul rows=%d", rows), 1e-9, true, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("MatMul rows=%d", rows), 1e-9, func(k Kernels[T]) []T {
 			dst := tensor.NewDense[T](rows, 29)
 			k.MatMul(dst, a, b)
 			return dst.Data
@@ -179,7 +179,7 @@ func conformMatMulATB[T tensor.Float](t *testing.T) {
 	for _, cols := range []int{31, 71} {
 		a := randDense[T](rng, 64, cols)
 		b := randDense[T](rng, 64, 17)
-		conform(t, fmt.Sprintf("MatMulATB dst-rows=%d", cols), 1e-9, true, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("MatMulATB dst-rows=%d", cols), 1e-9, func(k Kernels[T]) []T {
 			dst := tensor.NewDense[T](cols, 17)
 			k.MatMulATB(dst, a, b)
 			return dst.Data
@@ -199,7 +199,7 @@ func conformOneHotMatMul[T tensor.Float](t *testing.T) {
 	// 3 samples run inline; 21 cross minBatchRows.
 	for _, batch := range []int{3, 21} {
 		idx := randIdx(rng, batch, groups, width)
-		conform(t, fmt.Sprintf("OneHotMatMul batch=%d", batch), 1e-9, true, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("OneHotMatMul batch=%d", batch), 1e-9, func(k Kernels[T]) []T {
 			dense := tensor.NewDense[T](batch, hcus*m)
 			sparse := tensor.NewDense[T](batch, hcus*m)
 			k.OneHotMatMul(dense, idx, w)
@@ -215,7 +215,7 @@ func conformAddBiasSoftmax[T tensor.Float](t *testing.T) {
 	// 2 and 3 rows run inline; 19 cross minBatchRows.
 	for _, rows := range []int{2, 3, 19} {
 		src := randDense[T](rng, rows, 24)
-		conform(t, fmt.Sprintf("AddBias+Softmax rows=%d", rows), 1e-12, true, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("AddBias+Softmax rows=%d", rows), 1e-12, func(k Kernels[T]) []T {
 			biased := src.Clone()
 			k.AddBias(biased, bias)
 			soft := biased.Clone()
@@ -227,15 +227,12 @@ func conformAddBiasSoftmax[T tensor.Float](t *testing.T) {
 
 func conformLerp[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	// 1000 elements run inline; 16411 and 130×127 cross minLerpElems. Lerp
-	// shards flat element ranges whose edges need not fall on SIMD lane
-	// boundaries, and a band's scalar tail rounds without the fused
-	// multiply-add, so worker counts agree to within one rounding (a few
-	// ULP at float64), not bit for bit.
+	// 1000 elements run inline; 16411 and 130×127 cross minLerpElems into
+	// lane-aligned bands, whose results must match one worker's bit for bit.
 	for _, n := range []int{1000, 16411} {
 		dst := randDense[T](rng, 1, n).Data
 		src := randDense[T](rng, 1, n).Data
-		conform(t, fmt.Sprintf("Lerp n=%d", n), 1e-15, false, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("Lerp n=%d", n), 1e-15, func(k Kernels[T]) []T {
 			out := append([]T(nil), dst...)
 			k.Lerp(out, src, 0.3)
 			return out
@@ -244,7 +241,7 @@ func conformLerp[T tensor.Float](t *testing.T) {
 	for _, shape := range [][2]int{{3, 5}, {130, 127}} {
 		dst := randDense[T](rng, shape[0], shape[1])
 		src := randDense[T](rng, shape[0], shape[1])
-		conform(t, fmt.Sprintf("LerpMatrix %dx%d", shape[0], shape[1]), 1e-15, false, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("LerpMatrix %dx%d", shape[0], shape[1]), 1e-15, func(k Kernels[T]) []T {
 			out := dst.Clone()
 			k.LerpMatrix(out, src, 0.3)
 			return out.Data
@@ -260,7 +257,7 @@ func conformTraceKernels[T tensor.Float](t *testing.T) {
 	act := randProbDense[T](rng, batch, units)
 	ci := randProbDense[T](rng, 1, in).Data
 	cij := randProbDense[T](rng, in, units)
-	conform(t, "OneHotMeanLerp+OneHotOuterLerp", 1e-9, true, func(k Kernels[T]) []T {
+	conform(t, "OneHotMeanLerp+OneHotOuterLerp", 1e-9, func(k Kernels[T]) []T {
 		gotCi := append([]T(nil), ci...)
 		gotCij := cij.Clone()
 		k.OneHotMeanLerp(gotCi, idx, 0.03)
@@ -276,7 +273,7 @@ func conformOuterLerp[T tensor.Float](t *testing.T) {
 		a := randProbDense[T](rng, 12, cols)
 		b := randProbDense[T](rng, 12, 5)
 		base := randProbDense[T](rng, cols, 5)
-		conform(t, fmt.Sprintf("OuterLerp rows=%d", cols), 1e-9, true, func(k Kernels[T]) []T {
+		conform(t, fmt.Sprintf("OuterLerp rows=%d", cols), 1e-9, func(k Kernels[T]) []T {
 			got := base.Clone()
 			k.OuterLerp(got, a, b, 0.1)
 			return got.Data
@@ -299,7 +296,7 @@ func conformUpdateWeightsBias[T tensor.Float](t *testing.T) {
 	for i := range mask {
 		mask[i] = rng.Intn(2) == 0
 	}
-	conform(t, "UpdateWeights+UpdateBias", 1e-9, true, func(k Kernels[T]) []T {
+	conform(t, "UpdateWeights+UpdateBias", 1e-9, func(k Kernels[T]) []T {
 		w := tensor.NewDense[T](in, units)
 		bias := make([]T, units)
 		k.UpdateWeights(w, ci, cj, cij, mask, fi, mi, h, m, 1e-9)

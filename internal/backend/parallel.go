@@ -20,10 +20,9 @@ func init() {
 //
 // Every kernel shards through the one fan-out loop, parallelFor, over the
 // serial tensor kernels' row-range forms (DESIGN.md §2). A row band never
-// changes an element's arithmetic, so the row-sharded kernels are
-// bit-identical at every worker count; Lerp's flat element bands can move a
-// few elements between the SIMD body and the scalar tail, which agree to
-// within rounding.
+// changes an element's arithmetic, and Lerp's flat element bands start on
+// lane-aligned boundaries (lerpAlign), so every kernel is bit-identical at
+// every worker count.
 type Parallel[T tensor.Float] struct {
 	workers int
 }
@@ -37,6 +36,14 @@ const (
 	minLerpElems = 1 << 14                 // Lerp, LerpMatrix: elements
 	minBatchRows = 4                       // gather, bias, softmax: batch rows
 )
+
+// lerpAlign is the element stride Lerp bands are cut on, the last band
+// taking the remainder. It is a multiple of both SIMD lane widths (4 float64,
+// 8 float32) and no shorter than the tensor kernels' SIMD minimum length
+// (16), so every band splits into vector body and scalar tail exactly where
+// the whole slice does — the body fuses its multiply-add and the tail does
+// not, so a band edge off that split would move the last bit.
+const lerpAlign = 16
 
 // NewParallel returns the float64 Parallel backend with the given team size.
 // workers <= 0 selects GOMAXPROCS.
@@ -142,7 +149,15 @@ func (o softmaxOp[T]) run(lo, hi int) {
 	tensor.SoftmaxGroupsRows(o.m, o.groups, o.width, o.temperature, lo, hi)
 }
 
-func (o lerpOp[T]) run(lo, hi int) { tensor.Lerp(o.dst[lo:hi], o.src[lo:hi], o.t) }
+// run covers lerpAlign-element chunks [lo, hi); the last chunk runs to the
+// end of the slice.
+func (o lerpOp[T]) run(lo, hi int) {
+	end := hi * lerpAlign
+	if end+lerpAlign > len(o.dst) {
+		end = len(o.dst)
+	}
+	tensor.Lerp(o.dst[lo*lerpAlign:end], o.src[lo*lerpAlign:end], o.t)
+}
 
 func (o gatherOp[T]) run(lo, hi int) {
 	if o.bi != nil {
@@ -200,7 +215,7 @@ func (p *Parallel[T]) Lerp(dst, src []T, t float64) {
 	if len(dst) != len(src) {
 		panic("backend: Lerp length mismatch")
 	}
-	parallelFor(p.workers, len(dst), minLerpElems, lerpOp[T]{dst, src, T(t)})
+	parallelFor(p.workers, len(dst)/lerpAlign, minLerpElems/lerpAlign, lerpOp[T]{dst, src, T(t)})
 }
 
 // LerpMatrix implements Kernels.

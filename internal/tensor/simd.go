@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Generic→SIMD dispatch. Each wrapper runs the vector body over the largest
 // lane-aligned prefix and finishes the tail in scalar Go; below simdMinLen
 // the call overhead exceeds the win and the scalar loop runs directly.
@@ -171,6 +173,43 @@ func addDispatch[T Float](dst, src []T) {
 	for ; i < n; i++ {
 		dst[i] += src[i]
 	}
+}
+
+// maxDispatch returns the first maximum of x, skipping NaNs unless x[0] is
+// NaN — the result of m = x[0]; if v > m { m = v } — except that a -0 and
+// +0 tie may resolve either way, which no caller can observe: x-(-0) and
+// x-(+0) differ only in the sign of a zero. x must not be empty.
+func maxDispatch[T Float](x []T) T {
+	maxv, i := x[0], 1
+	if xs, ok := any(x).([]float64); ok && simdEnabled && len(x) >= simdMinLen {
+		i = len(x) &^ 3
+		maxv = T(maxF64AVX(xs[:i]))
+	}
+	for _, v := range x[i:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	return maxv
+}
+
+// softmaxExp sets x[j] = math.Exp((x[j]-maxv)/temperature) and returns the
+// sum of the results, added in index order. The kernel covers the row up to
+// the first 4-lane group it cannot take; math.Exp finishes it. Both give the
+// same bits: simdEnabled implies math.Exp's own FMA branch (math's useFMA
+// needs only AVX and FMA), whose arithmetic the kernel reproduces per lane.
+func softmaxExp[T Float](x []T, maxv, temperature float64) float64 {
+	var i int
+	var s float64
+	if xs, ok := any(x).([]float64); ok && simdEnabled && len(x) >= simdMinLen {
+		i, s = softmaxExpF64AVX(xs[:len(xs)&^3], maxv, temperature)
+	}
+	for ; i < len(x); i++ {
+		e := math.Exp((float64(x[i]) - maxv) / temperature)
+		x[i] = T(e)
+		s += e
+	}
+	return s
 }
 
 // SIMDEnabled reports whether the vectorized microkernels are active on this

@@ -44,5 +44,13 @@ func scaleF64AVX(a float64, x []float64)
 func addF32AVX(dst, src []float32)
 func addF64AVX(dst, src []float64)
 
+// maxF64AVX returns the running max of x; see the assembly.
+func maxF64AVX(x []float64) float64
+
+// softmaxExpF64AVX exponentiates x in place and sums it; see the assembly.
+// Unlike the kernels above it may stop short of len(x) and returns how far
+// it got.
+func softmaxExpF64AVX(x []float64, maxv, temperature float64) (n int, sum float64)
+
 func cpuidLow(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

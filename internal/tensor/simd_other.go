@@ -17,3 +17,7 @@ func scaleF32AVX(a float32, x []float32)                { panic("tensor: no SIMD
 func scaleF64AVX(a float64, x []float64)                { panic("tensor: no SIMD") }
 func addF32AVX(dst, src []float32)                      { panic("tensor: no SIMD") }
 func addF64AVX(dst, src []float64)                      { panic("tensor: no SIMD") }
+func maxF64AVX(x []float64) float64                     { panic("tensor: no SIMD") }
+func softmaxExpF64AVX(x []float64, maxv, temperature float64) (int, float64) {
+	panic("tensor: no SIMD")
+}

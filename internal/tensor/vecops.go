@@ -63,9 +63,14 @@ func Lerp[T Float](dst, src []T, t T) {
 }
 
 // SoftmaxRow computes, in place, the softmax of x with temperature T.
-// It is max-subtracted for numerical stability; T <= 0 selects T = 1.
-// The float32 instantiation exponentiates with the reduced-precision Exp32
-// (see math32.go); accumulation stays exact enough because the max-subtracted
+// It is max-subtracted for numerical stability; T <= 0 selects T = 1. A row
+// whose supports are all -Inf becomes uniform, so downstream traces stay
+// valid probability masses.
+// The float64 instantiation exponentiates with math.Exp's exact arithmetic,
+// four lanes at a time where the CPU allows (softmaxExp), and sums in index
+// order, so the vector path gives the scalar loop's bits. The
+// float32 instantiation exponentiates with the reduced-precision Exp32 (see
+// math32.go); accumulation stays exact enough because the max-subtracted
 // exponentials are bounded by 1.
 func SoftmaxRow[T Float](x []T, temperature float64) {
 	if len(x) == 0 {
@@ -74,11 +79,13 @@ func SoftmaxRow[T Float](x []T, temperature float64) {
 	if temperature <= 0 {
 		temperature = 1
 	}
-	maxv := x[0]
-	for _, v := range x[1:] {
-		if v > maxv {
-			maxv = v
+	maxv := maxDispatch(x)
+	if math.IsInf(float64(maxv), -1) {
+		u := 1 / T(len(x))
+		for i := range x {
+			x[i] = u
 		}
+		return
 	}
 	var sum T
 	if xs, ok := any(x).([]float32); ok {
@@ -91,27 +98,9 @@ func SoftmaxRow[T Float](x []T, temperature float64) {
 		}
 		sum = T(s)
 	} else {
-		var s float64
-		for i, v := range x {
-			e := math.Exp((float64(v) - float64(maxv)) / temperature)
-			x[i] = T(e)
-			s += e
-		}
-		sum = T(s)
+		sum = T(softmaxExp(x, float64(maxv), temperature))
 	}
-	if sum == 0 {
-		// All supports were -Inf; fall back to uniform so downstream traces
-		// stay valid probability masses.
-		u := 1 / T(len(x))
-		for i := range x {
-			x[i] = u
-		}
-		return
-	}
-	inv := 1 / sum
-	for i := range x {
-		x[i] *= inv
-	}
+	scaleDispatch(1/sum, x)
 }
 
 // SoftmaxGroups applies SoftmaxRow independently to each of `groups`

@@ -112,11 +112,18 @@ func TestSoftmaxTemperature(t *testing.T) {
 	}
 }
 
+// TestSoftmaxExtremeInputsUniformFallback: a row whose supports are all -Inf
+// becomes uniform at both precisions, never NaN.
 func TestSoftmaxExtremeInputsUniformFallback(t *testing.T) {
-	x := []float64{math.Inf(-1), math.Inf(-1)}
+	inf := math.Inf(-1)
+	x := []float64{inf, inf, inf}
 	SoftmaxRow(x, 1)
-	if math.Abs(x[0]-0.5) > 1e-12 || math.Abs(x[1]-0.5) > 1e-12 {
-		t.Fatalf("fallback not uniform: %v", x)
+	x32 := []float32{float32(inf), float32(inf), float32(inf)}
+	SoftmaxRow(x32, 1)
+	for i := range x {
+		if x[i] != 1.0/3 || x32[i] != float32(1.0)/3 {
+			t.Fatalf("fallback not uniform: %v, %v", x, x32)
+		}
 	}
 }
 
